@@ -8,6 +8,8 @@ projective space: compose(f, g) applies g first.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -279,15 +281,22 @@ def normalizes_torus(g, trials=8, seed=0):
     """Does conjugation by g keep diagonal maps diagonal?
 
     Monomial maps are recognized structurally and always normalize; anything
-    else is tested by conjugating random torus elements with pairwise
-    distinct diagonal entries.
+    else is tested by conjugating torus elements with pairwise distinct
+    diagonal entries: every one of them when the field has at most `trials`,
+    otherwise `trials` random ones.
     """
     if is_monomial_auto(g):
         return True
-    rng = random.Random(seed)
+    field, d = g.field, g.dim
+    # a field with no such element at all is rejected by _distinct_torus
+    if field.kind is FieldKind.PRIME_FIELD and 0 < math.perm(field.modulus - 1, d) <= trials:
+        entries = itertools.permutations(range(1, field.modulus), d)
+        tori = (torus_auto(field, picks) for picks in entries)
+    else:
+        rng = random.Random(seed)
+        tori = (_distinct_torus(field, d, rng) for _ in range(trials))
     g_inv = g.inverted()
-    for _ in range(trials):
-        t = _distinct_torus(g.field, g.dim, rng)
+    for t in tori:
         if not is_diagonal_linear(g.compose(t).compose(g_inv)):
             return False
     return True

@@ -509,7 +509,7 @@ def _gcd_rec(a, b):
                 if r.degree_in(v) == 0:
                     core = c
                     break
-                f, g = g, exact_div(r, _content_in(r, v))
+                f, g = g, exact_div(r, _content_in(r, v)).monic()
     if any(m):
         core = core * Polynomial.monomial(a.field, a.nvars, m)
     return core

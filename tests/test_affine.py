@@ -127,6 +127,17 @@ def test_normalizes_torus():
     assert not normalizes_torus(translation_auto(QQ, [1, 0]))
 
 
+def test_normalizes_torus_tries_every_torus_of_a_small_field():
+    # over F_3 the only tori with distinct entries are diag(1, 2) and
+    # diag(2, 1); the shear keeps diag(1, 2) diagonal since 2^2 = 1, and the
+    # seed below draws only that one when sampling
+    f3 = GF(3)
+    shear = elementary_auto(f3, 2, 1, Polynomial.variable(f3, 2, 1) ** 2)
+    assert not normalizes_torus(shear, trials=4, seed=15)
+    with pytest.raises(PreconditionError):
+        normalizes_torus(elementary_auto(GF(2), 2, 1, Polynomial.variable(GF(2), 2, 1)))
+
+
 def test_centralizes():
     block = embed_lower_linear(QQ, [[2, 1], [1, 1]], 3)
     shift = translation_auto(QQ, [1, 0, 0])

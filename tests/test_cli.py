@@ -187,15 +187,16 @@ def test_verify_deterministic(capsys):
 def test_verify_reports_failures(capsys, monkeypatch):
     import birat.suites as suites
 
-    def fake(seed, trials, field, dim):
-        failures = [{"case": "t0", "inputs": "x", "expected": "0", "actual": "1"}]
-        return suites.SuiteReport("cremona", seed, trials, trials - 1, failures)
+    def fails_first(rng, field, dim, seed):
+        # seed is the suite seed (0) plus the trial index
+        return seed != 0, "x", "1"
 
-    monkeypatch.setitem(suites._SUITES, "cremona", fake)
+    case = suites._Case("t", "0", fails_first)
+    monkeypatch.setitem(suites._SUITES, "cremona", (case,))
     code, out, _ = run(capsys, "verify", "--suite", "cremona", "--trials", "3")
     assert code == 1
     assert "cremona: 2/3 passed (1 failed)" in out
-    assert "t0: expected 0, got 1" in out
+    assert "t/0: expected 0, got 1" in out
 
 
 def test_file_arguments(capsys, tmp_path):

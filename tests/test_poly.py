@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from birat import poly
 from birat.errors import (
     ArityMismatchError,
     DegreeMismatchError,
@@ -247,3 +248,42 @@ def test_finite_field_polys():
     a = parse_poly("x0^2 + 4", F5, 1)
     assert a.evaluate([F5.from_int(1)]) == 0
     assert poly_gcd(a, parse_poly("x0 + 1", F5, 1)) == parse_poly("x0 + 1", F5, 1)
+
+
+# A gcd from the chart of a composed map of P^3 (criterion-2 corpus): the
+# cubic G divides the sextic G * H.  Without normalizing each remainder of
+# the primitive PRS, the coefficients swelled past 140 000 bits here.
+SWELL_G = (
+    "x0^3 + 7*x0^2*x1 + 4*x0*x1^2 - 12*x1^3 + 7*x0^2*x2 + 2*x0*x1*x2 - 72*x1^2*x2"
+    " - 6*x0*x2^2 - 132*x1*x2^2 - 72*x2^3 - 4*x0^2*x3 - 18*x0*x1*x3 - 20*x1^2*x3"
+    " - 22*x0*x2*x3 - 52*x1*x2*x3 - 24*x2^2*x3 + 4*x0*x3^2 + 8*x1*x3^2 + 16*x2*x3^2"
+)
+SWELL_H = (
+    "-2667/32*x0^2*x1 - 7831/48*x0*x1^2 + 613/2*x1^3 - 29543/288*x0^2*x2"
+    " - 8393/24*x0*x1*x2 + 1839*x1^2*x2 - 6011/48*x0*x2^2 + 6743/2*x1*x2^2"
+    " + 1839*x2^3 + 3763/144*x0^2*x3 + 13571/48*x0*x1*x3 + 3065/6*x1^2*x3"
+    " + 55085/144*x0*x2*x3 + 7969/6*x1*x2*x3 + 613*x2^2*x3 - 3763/72*x0*x3^2"
+    " - 613/3*x1*x3^2 - 1226/3*x2*x3^2"
+)
+
+
+def _coeff_bits(p):
+    return max(
+        max(c.value.numerator.bit_length(), c.value.denominator.bit_length())
+        for c in p.terms.values()
+    )
+
+
+def test_gcd_remainders_stay_small(monkeypatch):
+    g = parse_poly(SWELL_G, QQ, 4)
+    b = g * parse_poly(SWELL_H, QQ, 4)
+    seen = []
+    prem = poly._prem
+
+    def traced_prem(f, h, v):
+        seen.append(max(_coeff_bits(f), _coeff_bits(h)))
+        return prem(f, h, v)
+
+    monkeypatch.setattr(poly, "_prem", traced_prem)
+    assert poly_gcd(g, b) == g
+    assert seen and max(seen) < 2000
