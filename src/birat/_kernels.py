@@ -1,26 +1,47 @@
-"""Kernel backend selection.
+"""Term-dict kernels: the inner loops of polynomial arithmetic.
 
-Imports the compiled kernels when the extension was built, otherwise the pure
-Python twins.  Set BIRAT_KERNELS=py to force the fallback (used by the
-benchmark and by tests that compare the two backends).
+A term dict maps an exponent tuple to a nonzero coefficient; coefficients
+only need +, * and truthiness, so these kernels are shared by every field.
 """
 
-import os
 
-if os.environ.get("BIRAT_KERNELS", "").lower() == "py":
-    from . import _kernels_py as _impl
+def mul_terms(a, b):
+    """Multiply two term dicts, dropping coefficients that cancel to zero."""
+    if not a or not b:
+        return {}
+    out = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            prev = get(key)
+            out[key] = ca * cb if prev is None else prev + ca * cb
+    return {k: v for k, v in out.items() if v}
 
-    BACKEND = "py"
-else:
-    try:
-        from . import _kernels_cy as _impl  # type: ignore[attr-defined]
 
-        BACKEND = "cy"
-    except ImportError:
-        from . import _kernels_py as _impl
+def add_terms(a, b):
+    """Add two term dicts, dropping coefficients that cancel to zero."""
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        prev = get(e)
+        if prev is None:
+            out[e] = c
+        else:
+            s = prev + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
-        BACKEND = "py"
 
-mul_terms = _impl.mul_terms
-add_terms = _impl.add_terms
-scale_terms = _impl.scale_terms
+def scale_terms(terms, c):
+    """Multiply every coefficient by the scalar c (c may be zero)."""
+    if not c:
+        return {}
+    return {e: c * v for e, v in terms.items()}

@@ -187,12 +187,12 @@ class CremonaMap:
         conj = CremonaMap.from_proj_linear(b).compose(self).compose(
             CremonaMap.from_proj_linear(a.inverse())
         )
-        chart = conj.to_chart()
+        fractions = conj.to_chart().fractions()
         origin = [self.field.zero()] * self.dim
-        for f in chart.fractions():
+        for f in fractions:
             if not f.is_defined_at(origin):
                 return False
-        j = jacobian(chart.fractions(), origin)
+        j = jacobian(fractions, origin)
         return bool(matrices.det(j))
 
     def __eq__(self, other):
@@ -209,49 +209,47 @@ class CremonaMap:
 
 @dataclass(frozen=True)
 class ChartDecomposition:
-    """Homogeneous pieces of the chart form of a map on x0 != 0.
+    """The chart form of a map on x0 != 0, with its homogeneous pieces.
 
-    numerators[i][j] is the degree-j part of the (reduced) numerator of the
-    i-th coordinate function, and likewise for denominators; reassembling the
-    fractions recovers the chart form exactly.
+    functions holds the d reduced coordinate functions that to_chart built.
+    numerators[i][j] is the degree-j part of the numerator of the i-th
+    function, and likewise for denominators; reassembling the pieces recovers
+    the chart form exactly.
     """
 
     field: object
     dim: int
-    numerators: tuple
-    denominators: tuple
+    functions: tuple
 
     @classmethod
     def from_fractions(cls, field, dim, fractions):
-        nums = []
-        dens = []
-        for f in fractions:
-            nums.append(tuple(sorted(f.num.homogeneous_components().items())))
-            dens.append(tuple(sorted(f.den.homogeneous_components().items())))
-        return cls(field, dim, tuple(nums), tuple(dens))
+        return cls(field, dim, tuple(fractions))
+
+    @property
+    def numerators(self):
+        return tuple(_pieces(f.num) for f in self.functions)
+
+    @property
+    def denominators(self):
+        return tuple(_pieces(f.den) for f in self.functions)
 
     def numerator(self, i):
-        acc = Polynomial.zero(self.field, self.dim)
-        for _, part in self.numerators[i]:
-            acc = acc + part
-        return acc
+        return self.functions[i].num
 
     def denominator(self, i):
-        acc = Polynomial.zero(self.field, self.dim)
-        for _, part in self.denominators[i]:
-            acc = acc + part
-        return acc
+        return self.functions[i].den
 
     def fractions(self):
-        return [
-            RationalFunction(self.numerator(i), self.denominator(i))
-            for i in range(self.dim)
-        ]
+        return list(self.functions)
 
     @property
     def degree(self):
         degs = [j for pieces in self.numerators + self.denominators for j, _ in pieces]
         return max(degs)
+
+
+def _pieces(p):
+    return tuple(sorted(p.homogeneous_components().items()))
 
 
 def from_chart(dec):

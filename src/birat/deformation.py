@@ -122,9 +122,9 @@ def build_family(f):
     """Conjugate a map by the scaling family, in graded chart form."""
     chart = f.to_chart()
     data = []
-    for i in range(f.dim):
-        num_pieces = tuple((j - 1, piece) for j, piece in chart.numerators[i])
-        den_pieces = tuple((j, piece) for j, piece in chart.denominators[i])
+    for nums, dens in zip(chart.numerators, chart.denominators):
+        num_pieces = tuple((j - 1, piece) for j, piece in nums)
+        den_pieces = tuple((j, piece) for j, piece in dens)
         data.append((num_pieces, den_pieces))
     return DeformationFamily(f, f.dim, tuple(data))
 

@@ -24,7 +24,14 @@ from .errors import (
     SingularMatrixError,
 )
 from .poly import parse_scalar, split_group
-from .scalars import FieldAutomorphism, FieldKind, Scalar, identity_automorphism
+from .scalars import (
+    QQ,
+    FieldAutomorphism,
+    FieldKind,
+    Scalar,
+    _is_prime,
+    identity_automorphism,
+)
 
 
 class ProjPoint:
@@ -279,27 +286,6 @@ def gauss_decompose(m):
 # congruence subgroups of SL_n(Z)
 
 
-def _int_det(rows):
-    # Bareiss fraction-free elimination: exact integer determinant
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def in_congruence_subgroup(rows, p):
     """Membership in the congruence subgroup mod an odd prime p.
 
@@ -315,7 +301,7 @@ def in_congruence_subgroup(rows, p):
                 raise NotUnimodularError("congruence test needs integer entries")
     if p == 2 or not _is_odd_prime(p):
         raise BadModulusError(f"modulus must be an odd prime, got {p}")
-    if _int_det(rows) != 1:
+    if matrices.det(matrices.from_rows(QQ, rows)) != 1:
         raise NotUnimodularError("determinant is not 1")
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
@@ -325,8 +311,6 @@ def in_congruence_subgroup(rows, p):
 
 
 def _is_odd_prime(p):
-    from .scalars import _is_prime
-
     return p % 2 == 1 and _is_prime(p)
 
 

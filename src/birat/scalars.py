@@ -27,8 +27,17 @@ class FieldKind(enum.Enum):
     PRIME_FIELD = "Fp"
 
 
+# the least strong pseudoprime to all twelve bases below (399165290221 *
+# 798330580441); Miller-Rabin with these bases is proven only below it
+_MR_BOUND = 318665857834031151167461
+
+
 def _is_prime(n):
-    # deterministic Miller-Rabin, valid for machine-word sized n
+    # Miller-Rabin, deterministic below _MR_BOUND
+    if n >= _MR_BOUND:
+        raise BadModulusError(
+            f"cannot prove {n} prime: moduli must be below {_MR_BOUND}"
+        )
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -763,10 +763,8 @@ def _torus_conjugation(rng, field, d, seed):
     diag = [rand_scalar(rng, field, nonzero=True) for _ in range(d)]
     p_auto = permutation_auto(field, perm)
     lhs = p_auto.compose(torus_auto(field, diag)).compose(p_auto.inverted())
-    moved = [None] * d
-    for src in range(d):
-        moved[perm[src]] = diag[src]
-    rhs = torus_auto(field, moved)
+    # permutation_auto sends x_i to x_perm(i), so P T P^-1 = diag(a_perm(i))
+    rhs = torus_auto(field, [diag[perm[i]] for i in range(d)])
     inputs = f"perm={perm}; diag={[str(a) for a in diag]}"
     return lhs == rhs, inputs, "conjugation wrong"
 

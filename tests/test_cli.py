@@ -133,10 +133,26 @@ def test_congruence_bad_modulus(capsys):
     assert err.startswith("BAD_MODULUS")
 
 
+def test_unprovable_prime_is_a_bad_modulus(capsys):
+    pseudoprime = str(399165290221 * 798330580441)
+    code, _, err = run(capsys, "verify", "--field", f"Fp:{pseudoprime}")
+    assert code == 2
+    assert err.startswith("BAD_MODULUS")
+    code, _, err = run(capsys, "congruence", "[[1,0],[0,1]]", "--prime", pseudoprime)
+    assert code == 2
+    assert err.startswith("BAD_MODULUS")
+
+
 def test_congruence_bad_matrix(capsys):
     code, _, err = run(capsys, "congruence", "[[1,0],[0,1.5]]", "--prime", "3")
     assert code == 2
     assert err.startswith("PARSE_ERROR")
+
+
+def test_congruence_empty_matrix(capsys):
+    code, _, err = run(capsys, "congruence", "[]", "--prime", "3")
+    assert code == 2
+    assert err.startswith("DIM_MISMATCH")
 
 
 def test_trivialize(capsys):

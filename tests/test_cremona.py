@@ -2,6 +2,7 @@
 
 import pytest
 
+from birat import poly as poly_module
 from birat.cremona import (
     CremonaMap,
     chart_from_polys,
@@ -146,6 +147,25 @@ def test_chart_from_polys():
           RationalFunction(parse_poly("x0^2 + x1", QQ, 2))]
     dec = chart_from_polys([f.num for f in fs])
     assert dec.fractions() == fs
+
+
+def test_chart_reads_make_no_gcd(monkeypatch):
+    f = mp("P^2: [x0^2 + x1*x2 : x0*x1 : x0*x2 + x2^2]")
+    chart = f.to_chart()
+    calls = []
+    gcd = poly_module.poly_gcd
+
+    def counted_gcd(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(poly_module, "poly_gcd", counted_gcd)
+    fractions = chart.fractions()
+    for i in range(f.dim):
+        assert chart.numerator(i) == fractions[i].num
+        assert chart.denominator(i) == fractions[i].den
+    assert not fractions[0].den.is_constant
+    assert calls == []
 
 
 def test_local_isomorphism():

@@ -91,6 +91,16 @@ def test_prime_field():
         GF(1)
 
 
+def test_prime_field_rejects_moduli_past_the_proven_bound():
+    # the least strong pseudoprime to the bases 2..37, and a Mersenne prime
+    # past it: neither can be proven prime, so both are refused
+    with pytest.raises(BadModulusError):
+        GF(399165290221 * 798330580441)
+    with pytest.raises(BadModulusError):
+        GF(2**89 - 1)
+    assert GF(2**61 - 1).from_int(2).inverse() * 2 == 1
+
+
 def test_gaussian_arithmetic():
     i = QI.from_pair(0, 1)
     assert i * i == -1

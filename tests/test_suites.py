@@ -66,6 +66,14 @@ def test_dimension_parameter():
     assert report.ok, report.failures[:1]
 
 
+def test_affineauto_passes_at_dim_3():
+    # seed 0 draws the 3-cycle [1, 2, 0] for torus-conjugation/3
+    for field in (QQ, QI, GF(101)):
+        for seed in range(3):
+            report = run_suite("affineauto", seed=seed, trials=5, field=field, dim=3)
+            assert report.ok, report.failures[:1]
+
+
 def test_run_suite_rejects():
     with pytest.raises(PreconditionError):
         run_suite("nonsense")
