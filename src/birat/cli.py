@@ -126,7 +126,7 @@ def _cmd_congruence(args):
     except ValueError:
         raise ParseError("expected an integer matrix like [[1,0],[0,1]]") from None
     if not isinstance(raw, list) or not all(
-        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in raw
+        isinstance(row, list) and all(type(x) is int for x in row) for row in raw
     ):
         raise ParseError("expected an integer matrix like [[1,0],[0,1]]")
     print(str(in_congruence_subgroup(raw, args.prime)).lower())

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     ZeroMapError,
 )
-from .linear import ProjLinear, ProjPoint, move_point_to_origin, origin_point
+from .linear import ProjPoint
 from .poly import (
     Polynomial,
     RationalFunction,
@@ -156,9 +156,8 @@ class CremonaMap:
 
     def is_fixed_point(self, point):
         """True when the map is defined at the point and sends it to itself."""
-        if self.is_indeterminate_at(point):
-            return False
-        return self.apply(point) == point
+        vals = [c.evaluate(list(point.coords)) for c in self.components]
+        return any(vals) and ProjPoint(self.field, vals) == point
 
     def to_chart(self):
         """Chart form on x0 != 0: d reduced rational functions in x1..xd."""
@@ -174,26 +173,20 @@ class CremonaMap:
         return self._chart
 
     def is_local_isomorphism(self, point):
-        """Defined at the point with an invertible Jacobian there.
+        """Defined at the point with an invertible differential there.
 
-        Source and target are moved into the x0 != 0 chart first, so the test
-        works at any point, fixed or not.
+        With v = F(p), Euler's identity J(p)*p = e*v makes the Jacobian of the
+        components induce the differential k^(d+1)/<p> -> k^(d+1)/<v>, which
+        is invertible exactly when the columns of J(p) and v span k^(d+1).
+        This holds in every characteristic, also where it divides e and so
+        det J(p) vanishes identically.
         """
-        if self.is_indeterminate_at(point):
+        coords = list(point.coords)
+        vals = [c.evaluate(coords) for c in self.components]
+        if not any(vals):
             return False
-        image = self.apply(point)
-        a = move_point_to_origin(point)
-        b = move_point_to_origin(image)
-        conj = CremonaMap.from_proj_linear(b).compose(self).compose(
-            CremonaMap.from_proj_linear(a.inverse())
-        )
-        fractions = conj.to_chart().fractions()
-        origin = [self.field.zero()] * self.dim
-        for f in fractions:
-            if not f.is_defined_at(origin):
-                return False
-        j = jacobian(fractions, origin)
-        return bool(matrices.det(j))
+        j = jacobian([RationalFunction(c) for c in self.components], coords)
+        return matrices.rank([row + [v] for row, v in zip(j, vals)]) == self.dim + 1
 
     def __eq__(self, other):
         if not isinstance(other, CremonaMap):
@@ -241,11 +234,6 @@ class ChartDecomposition:
 
     def fractions(self):
         return list(self.functions)
-
-    @property
-    def degree(self):
-        degs = [j for pieces in self.numerators + self.denominators for j, _ in pieces]
-        return max(degs)
 
 
 def _pieces(p):

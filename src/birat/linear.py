@@ -297,7 +297,7 @@ def in_congruence_subgroup(rows, p):
         if len(row) != n:
             raise DimMismatchError("congruence test needs a square matrix")
         for x in row:
-            if not isinstance(x, int):
+            if not isinstance(x, int) or isinstance(x, bool):
                 raise NotUnimodularError("congruence test needs integer entries")
     if p == 2 or not _is_odd_prime(p):
         raise BadModulusError(f"modulus must be an odd prime, got {p}")

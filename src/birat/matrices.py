@@ -145,7 +145,3 @@ def inv(a):
     if r < n:
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in work]
-
-
-def kernel_dimension(a):
-    return len(a[0]) - rank(a)

@@ -687,12 +687,6 @@ class RationalFunction:
             raise PoleAtPointError(f"denominator vanishes at {[str(v) for v in vals]}")
         return self.num.evaluate(vals) / d
 
-    def derivative(self, v):
-        return RationalFunction(
-            self.num.derivative(v) * self.den - self.num * self.den.derivative(v),
-            self.den * self.den,
-        )
-
     def __str__(self):
         if self.is_polynomial:
             return poly_str(self.num)

@@ -479,7 +479,7 @@ def _common_factor(rng, field, d, seed):
     f = _rand_small_cremona(rng, field, d)
     m = rand_poly(rng, field, d + 1, 2, max_terms=2, nonzero=True, no_constant=True)
     m = m.homogeneous_part(m.total_degree)
-    if m is None or m.is_zero:
+    if m.is_zero:
         m = Polynomial.variable(field, d + 1, 0)
     scaled = CremonaMap([c * m for c in f.components])
     return (

@@ -147,6 +147,9 @@ def test_congruence_bad_matrix(capsys):
     code, _, err = run(capsys, "congruence", "[[1,0],[0,1.5]]", "--prime", "3")
     assert code == 2
     assert err.startswith("PARSE_ERROR")
+    code, _, err = run(capsys, "congruence", "[[true,0],[0,1]]", "--prime", "3")
+    assert code == 2
+    assert err.startswith("PARSE_ERROR")
 
 
 def test_congruence_empty_matrix(capsys):

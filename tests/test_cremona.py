@@ -1,7 +1,10 @@
 """Tests for maps of projective space in homogeneous coordinates."""
 
+import random
+
 import pytest
 
+from birat import matrices, suites
 from birat import poly as poly_module
 from birat.cremona import (
     CremonaMap,
@@ -20,8 +23,14 @@ from birat.errors import (
     NotHomogeneousError,
     ZeroMapError,
 )
-from birat.linear import ProjLinear, parse_matrix, parse_point
-from birat.poly import Polynomial, RationalFunction, parse_poly
+from birat.linear import (
+    ProjLinear,
+    move_point_to_origin,
+    origin_point,
+    parse_matrix,
+    parse_point,
+)
+from birat.poly import Polynomial, RationalFunction, jacobian, parse_poly
 from birat.scalars import GF, QQ
 
 
@@ -176,6 +185,75 @@ def test_local_isomorphism():
     assert not w.is_local_isomorphism(parse_point("[1:0:0]", QQ))
     lin = mp("P^2: [x0 : x1 + x2 : x2]")
     assert lin.is_local_isomorphism(parse_point("[1:0:0]", QQ))
+    # the characteristic divides the degree, so det J(p) = 0 at every point
+    f2, f3 = GF(2), GF(3)
+    assert mp(SIGMA, f2).is_local_isomorphism(parse_point("[1:1:1]", f2))
+    s3 = standard_involution(f3, 3)
+    assert s3.is_local_isomorphism(parse_point("[1:1:1:1]", f3))
+    w2 = mp("P^2: [x0^2 : x0*x1 : x1*x2]", f2)
+    assert not w2.is_local_isomorphism(parse_point("[1:0:0]", f2))
+
+
+def _chart_route_is_local_isomorphism(f, point):
+    # an independent reference: move the point and its image to [1:0:...:0]
+    # and take the determinant of the chart Jacobian at the origin
+    if f.is_indeterminate_at(point):
+        return False
+    a = move_point_to_origin(point)
+    b = move_point_to_origin(f.apply(point))
+    conj = CremonaMap.from_proj_linear(b).compose(f).compose(
+        CremonaMap.from_proj_linear(a.inverse())
+    )
+    fractions = conj.to_chart().fractions()
+    origin = [f.field.zero()] * f.dim
+    if not all(g.is_defined_at(origin) for g in fractions):
+        return False
+    return bool(matrices.det(jacobian(fractions, origin)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(2), GF(3)], ids=str)
+def test_local_isomorphism_agrees_with_chart_route(field):
+    rng = random.Random(5)
+    draws = [
+        suites.corpus_positive_map,
+        suites.corpus_base_point_map,
+        suites.corpus_pole_map,
+        lambda *args: suites.corpus_translation_map(*args)[0],
+        suites.corpus_singular_map,
+    ]
+    verdicts = []
+    for i in range(10):
+        d = 2 + i % 2
+        f = draws[i % len(draws)](rng, field, d, 4)
+        for point in [
+            origin_point(field, d),
+            suites.rand_proj_point(rng, field, d),
+            suites.rand_proj_point(rng, field, d),
+        ]:
+            verdict = f.is_local_isomorphism(point)
+            assert verdict == _chart_route_is_local_isomorphism(f, point), (f, point)
+            verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
+
+
+def test_local_isomorphism_makes_no_compose_or_gcd(monkeypatch):
+    f = mp("P^2: [x0^2 + x1*x2 : x0*x1 : x0*x2 + x2^2]")
+    calls = []
+    gcd, compose = poly_module.poly_gcd, CremonaMap.compose
+
+    def counted_gcd(a, b):
+        calls.append("gcd")
+        return gcd(a, b)
+
+    def counted_compose(self, other):
+        calls.append("compose")
+        return compose(self, other)
+
+    monkeypatch.setattr(poly_module, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(CremonaMap, "compose", counted_compose)
+    assert f.is_local_isomorphism(parse_point("[1:0:0]", QQ))
+    assert f.is_local_isomorphism(parse_point("[1:2:3]", QQ))
+    assert calls == []
 
 
 def test_max_degree():

@@ -155,6 +155,8 @@ def test_congruence_rejects():
         in_congruence_subgroup([[2, 0], [0, 1]], 3)
     with pytest.raises(NotUnimodularError):
         in_congruence_subgroup([[1, 0], [0, QQ.one()]], 3)
+    with pytest.raises(NotUnimodularError):  # bool is an int subclass
+        in_congruence_subgroup([[True, 0], [0, 1]], 3)
 
 
 def test_move_point_to_origin():
