@@ -1,9 +1,10 @@
 """Polynomial automorphisms of affine space with verified inverses.
 
-Every PolyAuto stores its inverse, and construction always checks
+Every PolyAuto carries its inverse, and construction always checks
 symbolically that both compositions are the identity; nothing is ever
-assumed invertible.  Composition follows the same convention as maps of
-projective space: compose(f, g) applies g first.
+assumed invertible.  A composite builds its inverse when first read.
+Composition follows the same convention as maps of projective space:
+compose(f, g) applies g first.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .scalars import FieldKind, Scalar
 class PolyAuto:
     """An automorphism of A^d given by forward and inverse component tuples."""
 
-    __slots__ = ("field", "dim", "forward", "inverse")
+    __slots__ = ("field", "dim", "forward", "_inverse")
 
     def __init__(self, forward, inverse):
         forward = tuple(forward)
@@ -49,7 +50,7 @@ class PolyAuto:
         self.field = field
         self.dim = d
         self.forward = forward
-        self.inverse = inverse
+        self._inverse = inverse
         self._verify()
 
     def _verify(self):
@@ -65,13 +66,21 @@ class PolyAuto:
     @classmethod
     def _trusted(cls, field, dim, forward, inverse):
         # composition and swapping preserve the inverse relation exactly,
-        # so re-running the symbolic check would only burn time
+        # so re-running the symbolic check would only burn time; inverse
+        # may be a function that builds the components when first read
         self = object.__new__(cls)
         self.field = field
         self.dim = dim
         self.forward = tuple(forward)
-        self.inverse = tuple(inverse)
+        self._inverse = inverse if callable(inverse) else tuple(inverse)
         return self
+
+    @property
+    def inverse(self):
+        """The inverse's components; a composite builds them on first read."""
+        if callable(self._inverse):
+            self._inverse = tuple(self._inverse())
+        return self._inverse
 
     @property
     def degree(self):
@@ -84,7 +93,10 @@ class PolyAuto:
         if self.dim != other.dim:
             raise DimMismatchError(f"dimension {self.dim} vs {other.dim}")
         fwd = [c.substitute(list(other.forward)) for c in self.forward]
-        inv = [c.substitute(list(self.inverse)) for c in other.inverse]
+
+        def inv():
+            return [c.substitute(list(self.inverse)) for c in other.inverse]
+
         return PolyAuto._trusted(self.field, self.dim, fwd, inv)
 
     def inverted(self):

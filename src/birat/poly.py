@@ -11,9 +11,12 @@ a monic denominator, so structural equality is semantic equality.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import random
 
-from . import _kernels
+from . import _kernels, _modular
 from .errors import (
     ArityMismatchError,
     DegreeMismatchError,
@@ -233,7 +236,12 @@ class Polynomial:
         return acc
 
     def substitute(self, polys):
-        """Substitute polys[v] for variable v; polys may live in another arity."""
+        """Substitute polys[v] for variable v; polys may live in another arity.
+
+        Horner's rule in one variable after another: each step multiplies by
+        one substituted polynomial, or a power of it cached across the whole
+        substitution, never by a product of several powers.
+        """
         if len(polys) != self.nvars:
             raise ArityMismatchError(f"expected {self.nvars} polynomials, got {len(polys)}")
         if not polys:
@@ -245,26 +253,31 @@ class Polynomial:
                 raise FieldMismatchError(f"{field} vs {g.field}")
             if g.nvars != m:
                 raise ArityMismatchError("substituted polynomials disagree on arity")
-        # cache powers of each substituted polynomial
-        maxdeg = [0] * self.nvars
-        for exps in self.terms:
-            for v, k in enumerate(exps):
-                if k > maxdeg[v]:
-                    maxdeg[v] = k
-        pows = []
-        for v in range(self.nvars):
-            lst = [Polynomial.one(field, m)]
-            for _ in range(maxdeg[v]):
-                lst.append(lst[-1] * polys[v])
-            pows.append(lst)
-        acc = Polynomial.zero(field, m)
-        for exps, c in self.terms.items():
-            t = Polynomial.constant(field, m, c)
-            for v, k in enumerate(exps):
-                if k:
-                    t = t * pows[v][k]
-            acc = acc + t
-        return acc
+        if not self.terms:
+            return Polynomial.zero(field, m)
+        pows = [{1: g} for g in polys]
+
+        def power(v, k):
+            if k not in pows[v]:
+                pows[v][k] = power(v, k // 2) * power(v, k - k // 2)
+            return pows[v][k]
+
+        def horner(terms, v):
+            # sum of c * prod polys[v + j]^e[j] over terms {e: c}
+            if v == self.nvars:
+                return Polynomial.constant(field, m, terms[()])
+            groups = {}
+            for e, c in terms.items():
+                groups.setdefault(e[0], {})[e[1:]] = c
+            degrees = sorted(groups, reverse=True)
+            acc = horner(groups[degrees[0]], v + 1)
+            for k, below in zip(degrees, degrees[1:]):
+                acc = acc * power(v, k - below) + horner(groups[below], v + 1)
+            if degrees[-1]:
+                acc = acc * power(v, degrees[-1])
+            return acc
+
+        return horner(self.terms, 0)
 
     def derivative(self, v):
         if not 0 <= v < self.nvars:
@@ -328,8 +341,18 @@ class Polynomial:
 # exact division and gcd
 
 
+def _heap_key(exps):
+    # smaller key <=> larger monomial in grevlex, for heapq's min-heap
+    return (-sum(exps), exps[::-1])
+
+
 def exact_div(a, b):
-    """Divide a by b, raising InexactDivisionError on a nonzero remainder."""
+    """Divide a by b, raising InexactDivisionError on a nonzero remainder.
+
+    The remainder's monomials wait in a heap, so each quotient term costs
+    one pop and the updates of its product with b (Monagan and Pearce, J.
+    Symb. Comp. 46, 2011, keep products in the heap instead).
+    """
     a._check_compatible(b)
     if b.is_zero:
         raise DivisionByZeroError("division by the zero polynomial")
@@ -339,18 +362,34 @@ def exact_div(a, b):
         return a * b.constant_term().inverse()
     lt_e, lt_c = b.leading_term()
     lt_c_inv = lt_c.inverse()
+    tail = [(e, -c) for e, c in b.terms.items() if e != lt_e]
     rem = dict(a.terms)
+    heap = [(_heap_key(e), e) for e in rem]
+    heapq.heapify(heap)
     quo = {}
-    while rem:
-        e = max(rem, key=grevlex_key)
-        c = rem[e]
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = rem.pop(e, None)
+        if c is None:
+            continue  # cancelled since it was pushed
         d = tuple(x - y for x, y in zip(e, lt_e))
         if any(x < 0 for x in d):
             raise InexactDivisionError("division leaves a nonzero remainder")
         q = c * lt_c_inv
         quo[d] = q
-        piece = _kernels.mul_terms({d: q}, b.terms)
-        rem = _kernels.add_terms(rem, {k: -v for k, v in piece.items()})
+        # every product term lies below e, so no popped monomial comes back
+        for eb, cb in tail:
+            k = tuple(x + y for x, y in zip(d, eb))
+            prev = rem.get(k)
+            if prev is None:
+                rem[k] = q * cb
+                heapq.heappush(heap, (_heap_key(k), k))
+            else:
+                s = prev + q * cb
+                if s:
+                    rem[k] = s
+                else:
+                    del rem[k]
     return Polynomial._raw(a.field, a.nvars, quo)
 
 
@@ -361,6 +400,152 @@ def divides(b, a):
     except InexactDivisionError:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the coprimality certificate and the modular route (images: _modular.py)
+
+_CERT_SEED = 0x9E3779B9
+
+
+def _coprime_certificate(a, b):
+    """True only when the gcd is certainly constant; False means undecided.
+
+    Runs _degree_bounds on the images under the field's first ring map that
+    is defined on both; points come from a fixed seed, so the outcome is
+    reproducible.
+    """
+    vs = sorted(a.support_vars() | b.support_vars())
+    if not vs:
+        return True
+    pack = _modular._packer(vs)
+    for p, maps in _modular._embeddings(a.field):
+        A = _modular._image(a.terms, pack, maps[0])
+        B = _modular._image(b.terms, pack, maps[0])
+        if A and B:
+            break
+    bounds = _modular._degree_bounds(A, B, len(vs), p, random.Random(_CERT_SEED), 2)
+    return not any(bounds)
+
+
+def _coefficient_bits(a):
+    # bit size of a's coefficients once its denominators are cleared
+    field = a.field
+    if field.kind is FieldKind.PRIME_FIELD:
+        return field.modulus.bit_length()
+    parts = []
+    for c in a.terms.values():
+        parts.extend(c.value if field.kind is FieldKind.GAUSSIAN_RATIONAL else (c.value,))
+    den = math.lcm(*(q.denominator for q in parts))
+    return max(abs(q.numerator) for q in parts).bit_length() + den.bit_length()
+
+
+def _few_points(field, degree):
+    # F_p with too few elements for random evaluation points and combinations
+    return field.kind is FieldKind.PRIME_FIELD and field.modulus <= 4 * (degree + 1)
+
+
+def _gcd_modular(a, b):
+    """gcd of a and b by images mod primes, or None to hand over to the PRS.
+
+    a and b are nonzero, nonconstant and free of monomial factors.  The first
+    image bounds the gcd's degree in every variable and may certify it
+    constant.  Otherwise Brown's method gives monic images mod primes that
+    keep both leading coefficients; over Q they are combined by CRT and
+    rational reconstruction, over Q(i) the two images of i -> +-sqrt(-1)
+    give real and imaginary parts first, and over a large F_p one image is
+    the candidate.  A candidate stable under one more prime is accepted once
+    it divides a and b and leaves certified coprime cofactors.
+    """
+    field = a.field
+    kind = field.kind
+    if _few_points(field, max(a.total_degree, b.total_degree)):
+        return None
+    vs = sorted(a.support_vars() | b.support_vars())
+    pack = _modular._packer(vs)
+    lma = pack(a.leading_term()[0])
+    lmb = pack(b.leading_term()[0])
+    # Mignotte: the gcd's cleared coefficients have at most gbits bits
+    gbits = min(
+        _coefficient_bits(x) + sum(x.degree_in(v) for v in vs) + len(x.terms).bit_length()
+        for x in (a, b)
+    )
+    spread = 4 if kind is FieldKind.GAUSSIAN_RATIONAL else 2
+    budget = (spread * gbits + 3) // 30 + 4
+    rng = random.Random(_CERT_SEED)
+    bounds = None
+    lead = acc = cand = None
+    modulus = 1
+    for p, maps in itertools.islice(_modular._embeddings(field), budget):
+        images = []
+        for to_int in maps:
+            A = _modular._image(a.terms, pack, to_int)
+            B = _modular._image(b.terms, pack, to_int)
+            if A is None or B is None or lma not in A or lmb not in B:
+                break
+            if bounds is None:
+                bounds = _modular._degree_bounds(A, B, len(vs), p, rng, 1)
+                if not any(bounds):
+                    return Polynomial.one(field, a.nvars)
+            g = _modular._brown(A, B, bounds, p, rng)
+            if g is None:
+                break
+            if len(g) == 1 and not any(next(iter(g))):
+                return Polynomial.one(field, a.nvars)
+            lm = max(g, key=grevlex_key)
+            inv = pow(g[lm], -1, p)
+            images.append({e: c * inv % p for e, c in g.items()})
+        else:
+            lms = {max(g, key=grevlex_key) for g in images}
+            if len(lms) > 1:
+                continue  # one embedding is unlucky
+            lm = lms.pop()
+            if lead is None or grevlex_key(lm) < grevlex_key(lead):
+                lead, acc, cand, modulus = lm, None, None, 1
+            elif lm != lead:
+                continue  # an unlucky prime
+            residues = _modular._residues(images, p, kind)
+            if kind is FieldKind.PRIME_FIELD:
+                new = residues
+            else:
+                acc, modulus = _modular._crt(acc, modulus, residues, p), modulus * p
+                new = _modular._reconstruct(acc, modulus)
+                if new is None or new != cand:
+                    cand = new
+                    continue
+            g = _verified(a, b, new, vs)
+            if g is not None:
+                return g
+            lead = acc = cand = None
+            modulus = 1
+    return None
+
+
+def _verified(a, b, coeffs, vs):
+    """The candidate as a Polynomial if it is the gcd of a and b, else None."""
+    field = a.field
+    terms = {}
+    for packed, parts in coeffs.items():
+        e = [0] * a.nvars
+        for v, k in zip(vs, packed):
+            e[v] = k
+        if field.kind is FieldKind.GAUSSIAN_RATIONAL:
+            terms[tuple(e)] = field.from_pair(*parts)
+        else:
+            terms[tuple(e)] = Scalar(field, parts[0])
+    g = Polynomial._raw(field, a.nvars, terms)
+    try:
+        qa = exact_div(a, g)
+        qb = exact_div(b, g)
+    except InexactDivisionError:
+        return None
+    if qa.is_constant or qb.is_constant or _coprime_certificate(qa, qb):
+        return g
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the normalized primitive PRS: the fallback for small fields and bad luck
 
 
 def _coeffs_in(p, v):
@@ -375,7 +560,11 @@ def _coeffs_in(p, v):
 
 
 def _content_in(p, v):
-    coeffs = list(_coeffs_in(p, v).values())
+    # smallest coefficients first, so that the gcd drops fast
+    coeffs = sorted(
+        _coeffs_in(p, v).values(),
+        key=lambda q: (q.total_degree, len(q.terms), grevlex_key(q.leading_term()[0])),
+    )
     g = coeffs[0]
     for q in coeffs[1:]:
         if g.is_constant:
@@ -400,77 +589,6 @@ def _prem(f, g, v):
         lr = _lead_in(r, v)
         r = lg * r - lr * xv ** (dr - dg) * g
     return r
-
-
-def _univariate_specialization(p, v, vals):
-    """Dense coefficient list of p in variable v, all others set to vals."""
-    field = p.field
-    out = [field.zero()] * (p.degree_in(v) + 1)
-    for exps, c in p.terms.items():
-        acc = c
-        for j, e in enumerate(exps):
-            if j != v and e:
-                acc = acc * vals[j] ** e
-        out[exps[v]] = out[exps[v]] + acc
-    return out
-
-
-def _dense_mod(fa, fb):
-    # remainder of fa by fb; dense lists with nonzero leading coefficients
-    fa = list(fa)
-    inv = fb[-1].inverse()
-    while len(fa) >= len(fb):
-        c = fa[-1] * inv
-        if c:
-            shift = len(fa) - len(fb)
-            for i in range(len(fb) - 1):
-                fa[shift + i] = fa[shift + i] - c * fb[i]
-        fa.pop()
-        while fa and not fa[-1]:
-            fa.pop()
-    return fa
-
-
-def _univariate_gcd_is_constant(fa, fb):
-    while fb:
-        fa, fb = fb, _dense_mod(fa, fb)
-    return len(fa) == 1
-
-
-_CERT_SEED = 0x9E3779B9
-
-
-def _coprime_certificate(a, b):
-    """True only when the gcd is certainly constant; False means undecided.
-
-    Any common factor survives specializing all variables but one, and when
-    the specialization preserves both leading degrees in the kept variable
-    the factor's degree there survives too.  A univariate gcd of 1 therefore
-    rules the kept variable out of any common factor, and certifying every
-    shared variable proves the gcd constant.  Specialization points are
-    deterministic, so the outcome is reproducible.
-    """
-    field = a.field
-    shared = sorted(a.support_vars() & b.support_vars())
-    for v in shared:
-        da = a.degree_in(v)
-        db = b.degree_in(v)
-        certified = False
-        for attempt in range(2):
-            rng = random.Random(_CERT_SEED + 1009 * v + attempt)
-            vals = {
-                j: field.from_int(rng.randint(2, 23))
-                for j in range(a.nvars)
-                if j != v
-            }
-            fa = _univariate_specialization(a, v, vals)
-            fb = _univariate_specialization(b, v, vals)
-            if fa[da] and fb[db] and _univariate_gcd_is_constant(fa, fb):
-                certified = True
-                break
-        if not certified:
-            return False
-    return True
 
 
 def _gcd_rec(a, b):
@@ -515,8 +633,16 @@ def _gcd_rec(a, b):
     return core
 
 
+# ---------------------------------------------------------------------------
+# the gcd entry points
+
+
 def poly_gcd(a, b):
-    """Greatest common divisor, normalized to grevlex leading coefficient 1."""
+    """Greatest common divisor, normalized to grevlex leading coefficient 1.
+
+    The two-element case of poly_gcd_list: monomial content split off, then
+    the modular route, verified, with the normalized PRS as its fallback.
+    """
     a._check_compatible(b)
     if a.is_zero and b.is_zero:
         raise PreconditionError("gcd of two zero polynomials")
@@ -524,15 +650,53 @@ def poly_gcd(a, b):
         return b.monic()
     if b.is_zero:
         return a.monic()
-    return _gcd_rec(a, b).monic()
+    ma, ra = a.split_monomial_content()
+    mb, rb = b.split_monomial_content()
+    if ra.is_constant or rb.is_constant:
+        core = Polynomial.one(a.field, a.nvars)
+    else:
+        core = _gcd_modular(ra, rb)
+        if core is None:
+            core = _gcd_rec(ra, rb)
+    m = tuple(min(x, y) for x, y in zip(ma, mb))
+    if any(m):
+        core = core * Polynomial.monomial(a.field, a.nvars, m)
+    return core.monic()
+
+
+_COMBINATION_TRIES = 3
 
 
 def poly_gcd_list(ps):
-    ps = [p for p in ps if not p.is_zero]
+    """gcd of a family, normalized to grevlex leading coefficient 1.
+
+    One gcd of the smallest member and a seeded random combination of the
+    others is a multiple of the family's gcd, and equal to it unless the
+    combination is unlucky; it is kept only if it divides every member.
+    After a few unlucky combinations, and over small prime fields, where
+    most combinations are unlucky, the pairwise chain decides.
+    """
+    ps = sorted((p for p in ps if not p.is_zero), key=lambda p: (p.total_degree, len(p.terms)))
     if not ps:
         raise PreconditionError("gcd of an all-zero family")
-    g = ps[0].monic()
-    for p in ps[1:]:
+    head, rest = ps[0], ps[1:]
+    if len(rest) < 2:
+        return poly_gcd(head, rest[0]) if rest else head.monic()
+    field = head.field
+    top = field.modulus if field.kind is FieldKind.PRIME_FIELD else 1 << 16
+    tries = 0 if _few_points(field, ps[-1].total_degree) else _COMBINATION_TRIES
+    rng = random.Random(_CERT_SEED + 1)
+    for _ in range(tries):
+        mix = Polynomial.zero(field, head.nvars)
+        for p in rest:
+            mix = mix + p * rng.randrange(1, top)
+        if mix.is_zero:
+            continue
+        g = poly_gcd(head, mix)
+        if g.is_constant or all(divides(g, p) for p in rest):
+            return g
+    g = head.monic()
+    for p in rest:
         if g.is_constant:
             break
         g = poly_gcd(g, p)

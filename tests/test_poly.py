@@ -1,11 +1,21 @@
 """Tests for multivariate polynomials, gcds, and rational functions."""
 
+import contextlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from birat import poly
+from birat import _modular, poly
+from birat.cli import main
+from birat.cremona import CremonaMap, parse_map, standard_involution
 from birat.errors import (
     ArityMismatchError,
     DegreeMismatchError,
@@ -13,6 +23,7 @@ from birat.errors import (
     ParseError,
     PoleAtPointError,
 )
+from birat.linear import ProjLinear, parse_matrix
 from birat.poly import (
     Polynomial,
     RationalFunction,
@@ -27,7 +38,7 @@ from birat.poly import (
     poly_lcm,
     poly_str,
 )
-from birat.scalars import GF, QI, QQ
+from birat.scalars import GF, QI, QQ, FieldKind, parse_field
 
 
 def p(text, nvars=2, field=QQ):
@@ -252,7 +263,9 @@ def test_finite_field_polys():
 
 # A gcd from the chart of a composed map of P^3 (criterion-2 corpus): the
 # cubic G divides the sextic G * H.  Without normalizing each remainder of
-# the primitive PRS, the coefficients swelled past 140 000 bits here.
+# the primitive PRS, the coefficients swelled past 140 000 bits here.  The
+# modular route answers poly_gcd on this pair, so the test runs the PRS
+# fallback itself.
 SWELL_G = (
     "x0^3 + 7*x0^2*x1 + 4*x0*x1^2 - 12*x1^3 + 7*x0^2*x2 + 2*x0*x1*x2 - 72*x1^2*x2"
     " - 6*x0*x2^2 - 132*x1*x2^2 - 72*x2^3 - 4*x0^2*x3 - 18*x0*x1*x3 - 20*x1^2*x3"
@@ -285,5 +298,245 @@ def test_gcd_remainders_stay_small(monkeypatch):
         return prem(f, h, v)
 
     monkeypatch.setattr(poly, "_prem", traced_prem)
-    assert poly_gcd(g, b) == g
+    assert poly._gcd_rec(g, b).monic() == g
     assert seen and max(seen) < 2000
+
+
+# ---------------------------------------------------------------------------
+# the gcd engine against sympy (test-only: birat never imports sympy)
+
+FIELDS = {"Q": QQ, "Qi": QI, "F101": GF(101), "F2": GF(2), "F3": GF(3)}
+
+
+def test_birat_never_imports_sympy():
+    code = "import sys, birat, birat.cli; sys.exit('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _rand_coeff(rng, field):
+    if field.kind is FieldKind.PRIME_FIELD:
+        return field.from_int(rng.randrange(1, field.modulus))
+    c = field.from_fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    if field.kind is FieldKind.GAUSSIAN_RATIONAL and rng.random() < 0.5:
+        c = c + field.from_pair(0, rng.choice([-3, -2, -1, 1, 2, 3]))
+    return c
+
+
+def _rand_poly(rng, field, nvars, degree, nterms):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = _rand_coeff(rng, field)
+    return Polynomial(field, nvars, terms)
+
+
+def _to_sympy(sp, f, gens):
+    kind = f.field.kind
+    if kind is FieldKind.PRIME_FIELD:
+        terms = {e: c.value for e, c in f.terms.items()}
+        return sp.Poly.from_dict(terms, *gens, modulus=f.field.modulus)
+    if kind is FieldKind.RATIONAL:
+        terms = {e: sp.Rational(c.value.numerator, c.value.denominator) for e, c in f.terms.items()}
+        return sp.Poly.from_dict(terms, *gens, domain=sp.QQ)
+    terms = {}
+    for e, c in f.terms.items():
+        re, im = (sp.Rational(x.numerator, x.denominator) for x in c.value)
+        terms[e] = re + sp.I * im
+    return sp.Poly.from_dict(terms, *gens, domain=sp.QQ_I)
+
+
+def _from_sympy(sp, g, field, nvars):
+    terms = {}
+    for exps, c in g.terms():
+        if field.kind is FieldKind.PRIME_FIELD:
+            terms[exps] = field.from_int(int(c))
+        elif field.kind is FieldKind.RATIONAL:
+            terms[exps] = field.from_fraction(int(c.p), int(c.q))
+        else:
+            re, im = (Fraction(int(x.p), int(x.q)) for x in (sp.re(c), sp.im(c)))
+            terms[exps] = field.from_pair(re, im)
+    return Polynomial(field, nvars, terms)
+
+
+def _sympy_gcd(sp, ps):
+    gens = sp.symbols(f"x0:{ps[0].nvars}")
+    g = _to_sympy(sp, ps[0], gens)
+    for f in ps[1:]:
+        g = g.gcd(_to_sympy(sp, f, gens))
+    return _from_sympy(sp, g, ps[0].field, ps[0].nvars).monic()
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_gcd_matches_sympy(name):
+    sp = pytest.importorskip("sympy")
+    field = FIELDS[name]
+    rng = random.Random(f"gcd/{name}")
+    for _ in range(6):
+        g = _rand_poly(rng, field, 3, rng.randint(1, 2), 3)
+        a, b, c = (g * _rand_poly(rng, field, 3, 2, 4) for _ in range(3))
+        assert poly_gcd(a, b) == _sympy_gcd(sp, [a, b])
+        assert poly_gcd_list([a, b, c]) == _sympy_gcd(sp, [a, b, c])
+        coprime = [_rand_poly(rng, field, 3, 3, 5) for _ in range(3)]
+        assert poly_gcd_list(coprime) == _sympy_gcd(sp, coprime)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_exact_div_matches_sympy(name):
+    sp = pytest.importorskip("sympy")
+    field = FIELDS[name]
+    gens = sp.symbols("x0:3")
+    rng = random.Random(f"div/{name}")
+    for _ in range(6):
+        b = _rand_poly(rng, field, 3, 2, 3)
+        a = b * _rand_poly(rng, field, 3, 3, 6)
+        q, r = _to_sympy(sp, a, gens).div(_to_sympy(sp, b, gens))
+        assert r.is_zero
+        assert exact_div(a, b) == _from_sympy(sp, q, field, 3)
+        c = a + _rand_poly(rng, field, 3, 1, 1)
+        _, r = _to_sympy(sp, c, gens).div(_to_sympy(sp, b, gens))
+        assert divides(b, c) == r.is_zero
+
+
+# ---------------------------------------------------------------------------
+# every path of the gcd engine, forced by its input
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_gcd_coprime_certificate(monkeypatch):
+    brown = _spy(monkeypatch, _modular, "_brown")
+    prs = _spy(monkeypatch, poly, "_gcd_rec")
+    a = p("x0^3 + 2*x1^2*x2 - x2 + 1", 3)
+    b = p("x0*x1^2 - 3*x2^2 + x0", 3)
+    assert poly_gcd(a, b) == 1
+    assert brown == [] and prs == []
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101)], ids=str)
+def test_gcd_modular_route(monkeypatch, field):
+    brown = _spy(monkeypatch, _modular, "_brown")
+    prs = _spy(monkeypatch, poly, "_gcd_rec")
+    unit = "i" if field is QI else "1"
+    g = parse_poly(f"x0^2 + 3/2*x1*x2 - {unit}*x2 + 2", field, 3)
+    a = g * parse_poly("x0 - x1 + 5", field, 3)
+    b = g * parse_poly("x1^2 + x0*x2 + 1", field, 3)
+    assert poly_gcd(a, b) == g.monic()
+    assert brown and prs == []
+
+
+def test_gcd_drops_an_unlucky_prime(monkeypatch):
+    # mod the first prime tried, x0 + x2 + first = x0 + x2 is a second
+    # common factor: that image has the larger leading monomial
+    first = next(_modular._word_primes(False))
+    brown = _spy(monkeypatch, _modular, "_brown")
+    a = p("(x0 + x1)*(x0 + x2)", 3)
+    b = p(f"(x0 + x1)*(x0 + x2 + {first})", 3)
+    assert poly_gcd(a, b) == p("x0 + x1", 3)
+    images = [(args[3], max(sum(e) for e in out)) for args, out in brown if len(args[2]) == 3]
+    assert images[0] == (first, 2)
+    assert images[-1][0] != first and images[-1][1] == 1
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=str)
+def test_gcd_prs_fallback_on_small_fields(monkeypatch, field):
+    brown = _spy(monkeypatch, _modular, "_brown")
+    prs = _spy(monkeypatch, poly, "_gcd_rec")
+    g = parse_poly("x0^2 + x1*x2 + 1", field, 3)
+    a = g * parse_poly("x0 + x1 + 1", field, 3)
+    b = g * parse_poly("x1*x2 + x0 + 1", field, 3)
+    assert poly_gcd(a, b) == g.monic()
+    assert prs and brown == []
+
+
+def test_gcd_list_over_a_small_field_runs_the_pairwise_chain(monkeypatch):
+    # over F_2 every combination of the last two members would be their
+    # sum, g*x0, whose gcd with the first member does not divide g*x1
+    F2 = GF(2)
+    g = parse_poly("x2 + 1", F2, 3)
+    family = [g * parse_poly(t, F2, 3) for t in ("x0", "x1", "x0 + x1")]
+    gcds = _spy(monkeypatch, poly, "poly_gcd")
+    assert poly_gcd_list(family) == g
+    assert [args for args, _ in gcds] == [(family[0], family[1]), (g, family[2])]
+
+
+# ---------------------------------------------------------------------------
+# compositions on which the pairwise PRS chain never returned
+
+with open(os.path.join(os.path.dirname(__file__), "data", "gcd_hangs.json")) as fh:
+    HANGS = json.load(fh)
+
+# Each of these compositions finishes in under 0.3 s on a 2-CPU machine.
+COMPOSE_GATE_S = 5.0
+
+
+def _check_composite(sp, f, g):
+    start = time.perf_counter()
+    fg = f.compose(g)
+    elapsed = time.perf_counter() - start
+    h = [c.substitute(list(g.components)) for c in f.components]
+    common = _sympy_gcd(sp, h)
+    assert poly_gcd_list(h) == common
+    assert fg == CremonaMap([exact_div(c, common) for c in h])
+    assert elapsed < COMPOSE_GATE_S
+    return common
+
+
+def test_sigma_after_conjugated_sigma_composes():
+    sp = pytest.importorskip("sympy")
+    case = HANGS["sigma_after_conjugated_sigma"]
+    field = parse_field(case["field"])
+    common = _check_composite(sp, parse_map(case["f"], field), parse_map(case["g"], field))
+    assert common == parse_poly("x0 + 268/199*x1 - 48/199*x2 - 284/199*x3", field, 4)
+
+
+def test_sigma_after_linear_map_of_p4_composes():
+    sp = pytest.importorskip("sympy")
+    case = HANGS["sigma_after_linear_p4"]
+    field = parse_field(case["field"])
+    linear = CremonaMap.from_proj_linear(ProjLinear(field, parse_matrix(case["matrix"], field)))
+    assert _check_composite(sp, standard_involution(field, 4), linear) == 1
+
+
+def test_prs_family_over_f2_finishes():
+    # The PRS fallback folded coefficient gcds in _content_in in the order
+    # their terms first appeared; on this family that ran for over a minute.
+    sp = pytest.importorskip("sympy")
+    case = HANGS["prs_family_over_f2"]
+    field = parse_field(case["field"])
+    family = [parse_poly(t, field, case["nvars"]) for t in case["family"]]
+    start = time.perf_counter()
+    common = poly_gcd_list(family)
+    assert time.perf_counter() - start < COMPOSE_GATE_S
+    assert common == _sympy_gcd(sp, family) == parse_poly(case["gcd"], field, case["nvars"])
+
+
+# `verify --suite cremona --dim 3 --seed 1` hung in trials 6 and 8 over all
+# three fields; now each field takes at most 7 s on a 2-CPU machine.
+VERIFY_GATE_S = 60.0
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi", "Fp:101"])
+def test_cremona_suite_finishes_at_dim_3(field):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--suite", "cremona", "--dim", "3", "--trials", "12",
+                     "--seed", "1", "--field", field, "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out.getvalue())["passed"] == 12
+    assert elapsed < VERIFY_GATE_S
