@@ -71,6 +71,22 @@ def test_compose_inverse():
     assert c == identity_auto(QQ, 2)
 
 
+def test_compose_builds_the_inverse_when_read(monkeypatch):
+    calls = []
+    substitute = Polynomial.substitute
+
+    def counted(self, polys):
+        calls.append(self)
+        return substitute(self, polys)
+
+    monkeypatch.setattr(Polynomial, "substitute", counted)
+    g = HENON_AUTO.compose(HENON_AUTO)
+    assert len(calls) == 2  # the forward components only
+    inverse = g.inverse
+    assert len(calls) == 4 and g.inverse is inverse
+    assert g.inverted().compose(g) == identity_auto(QQ, 2)
+
+
 def test_linear_auto_rejects_singular():
     with pytest.raises(SingularLinearPartError):
         linear_auto(QQ, [[1, 1], [1, 1]])
