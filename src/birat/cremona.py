@@ -31,12 +31,14 @@ from .linear import ProjPoint
 from .poly import (
     Polynomial,
     RationalFunction,
+    _gcd_cofactors,
+    _powers_at,
+    _value,
+    _value_and_gradient,
     dehomogenize,
     exact_div,
     homogenize,
-    jacobian,
     parse_poly,
-    poly_gcd_list,
     poly_lcm,
     poly_str,
     split_group,
@@ -75,10 +77,8 @@ class CremonaMap:
                     )
         if degree is None:
             raise ZeroMapError("all components vanish")
-        g = poly_gcd_list(comps)
-        if not g.is_constant:
-            comps = [exact_div(c, g) if not c.is_zero else c for c in comps]
-            degree -= g.total_degree
+        g, comps = _gcd_cofactors(comps)
+        degree -= g.total_degree
         if degree < 1:
             raise ZeroMapError("map reduces to a constant tuple")
         lead = next(c for c in comps if not c.is_zero)
@@ -145,18 +145,21 @@ class CremonaMap:
             raise FieldMismatchError("point over the wrong field")
         if point.dim != self.dim:
             raise DimMismatchError(f"point in P^{point.dim}, map on P^{self.dim}")
-        vals = [c.evaluate(list(point.coords)) for c in self.components]
+        vals = self._values_at(point)
         if not any(vals):
             raise IndeterminateAtPointError(f"map is indeterminate at {point}")
         return ProjPoint(self.field, vals)
 
+    def _values_at(self, point):
+        powers = _powers_at(self.field, len(self.components), point.coords)
+        return [_value(self.field, c.terms, powers) for c in self.components]
+
     def is_indeterminate_at(self, point):
-        vals = [c.evaluate(list(point.coords)) for c in self.components]
-        return not any(vals)
+        return not any(self._values_at(point))
 
     def is_fixed_point(self, point):
         """True when the map is defined at the point and sends it to itself."""
-        vals = [c.evaluate(list(point.coords)) for c in self.components]
+        vals = self._values_at(point)
         return any(vals) and ProjPoint(self.field, vals) == point
 
     def to_chart(self):
@@ -181,12 +184,11 @@ class CremonaMap:
         This holds in every characteristic, also where it divides e and so
         det J(p) vanishes identically.
         """
-        coords = list(point.coords)
-        vals = [c.evaluate(coords) for c in self.components]
-        if not any(vals):
+        powers = _powers_at(self.field, len(self.components), point.coords)
+        rows = [_value_and_gradient(self.field, c.terms, powers) for c in self.components]
+        if not any(v for v, _ in rows):
             return False
-        j = jacobian([RationalFunction(c) for c in self.components], coords)
-        return matrices.rank([row + [v] for row, v in zip(j, vals)]) == self.dim + 1
+        return matrices.rank([grad + [v] for v, grad in rows]) == self.dim + 1
 
     def __eq__(self, other):
         if not isinstance(other, CremonaMap):

@@ -113,14 +113,19 @@ class ProjLinear:
             raise DimMismatchError("need at least a 2x2 matrix")
         if not matrices.det(m):
             raise SingularMatrixError("matrix is singular")
-        pivot = None
-        for row in m:
-            for x in row:
-                if x:
-                    pivot = x
-                    break
-            if pivot is not None:
-                break
+        self._normalize(field, m)
+
+    @classmethod
+    def _trusted(cls, field, m):
+        # m is square and invertible because its operands are (a product,
+        # inverse, transpose-inverse or twist of invertible matrices), so
+        # the determinant check would only burn time
+        self = object.__new__(cls)
+        self._normalize(field, m)
+        return self
+
+    def _normalize(self, field, m):
+        pivot = next(x for row in m for x in row if x)
         if pivot != 1:
             m = matrices.scale(m, pivot.inverse())
         self.field = field
@@ -144,10 +149,10 @@ class ProjLinear:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
         if self.dim != other.dim:
             raise DimMismatchError(f"dimension {self.dim} vs {other.dim}")
-        return ProjLinear(self.field, matrices.mat_mul(self.rows(), other.rows()))
+        return ProjLinear._trusted(self.field, matrices.mat_mul(self.rows(), other.rows()))
 
     def inverse(self):
-        return ProjLinear(self.field, matrices.inv(self.rows()))
+        return ProjLinear._trusted(self.field, matrices.inv(self.rows()))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -165,13 +170,13 @@ class ProjLinear:
 
     def transpose_inverse(self):
         """The dual g -> transpose of g^-1, an automorphism of PGL."""
-        return ProjLinear(self.field, matrices.transpose(matrices.inv(self.rows())))
+        return ProjLinear._trusted(self.field, matrices.transpose(matrices.inv(self.rows())))
 
     def twist(self, alpha):
         """Apply a field automorphism entrywise."""
         if alpha.field != self.field:
             raise FieldMismatchError("twist by an automorphism of another field")
-        return ProjLinear(self.field, matrices.map_entries(self.rows(), alpha))
+        return ProjLinear._trusted(self.field, matrices.map_entries(self.rows(), alpha))
 
     def apply(self, point):
         if not isinstance(point, ProjPoint) or point.field != self.field:

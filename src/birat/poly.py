@@ -35,6 +35,21 @@ def grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _fold(terms, exps, c):
+    # add c*x^exps into the term dict in place
+    if not c:
+        return
+    prev = terms.get(exps)
+    if prev is None:
+        terms[exps] = c
+    else:
+        s = prev + c
+        if s:
+            terms[exps] = s
+        else:
+            del terms[exps]
+
+
 class Polynomial:
     __slots__ = ("field", "nvars", "terms")
 
@@ -220,20 +235,7 @@ class Polynomial:
         return self * lc.inverse()
 
     def evaluate(self, vals):
-        if len(vals) != self.nvars:
-            raise ArityMismatchError(f"expected {self.nvars} values, got {len(vals)}")
-        vals = [self.field.from_int(v) if isinstance(v, int) else v for v in vals]
-        for v in vals:
-            if v.field != self.field:
-                raise FieldMismatchError(f"{self.field} vs {v.field}")
-        acc = self.field.zero()
-        for exps, c in self.terms.items():
-            t = c
-            for v, k in enumerate(exps):
-                if k:
-                    t = t * vals[v] ** k
-            acc = acc + t
-        return acc
+        return _value(self.field, self.terms, _powers_at(self.field, self.nvars, vals))
 
     def substitute(self, polys):
         """Substitute polys[v] for variable v; polys may live in another arity.
@@ -335,6 +337,82 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.field}, {self.nvars}, {self})"
+
+
+# ---------------------------------------------------------------------------
+# values and gradients at a point
+
+
+def _powers_at(field, nvars, vals):
+    """Power tables of a point, shared by every polynomial evaluated there.
+
+    Table v maps k to vals[v]^k, filled as terms ask (k = -1 is the
+    inverse); it is None where vals[v] vanishes, so that a term in which
+    that coordinate appears to a positive power is skipped unread.
+    """
+    if len(vals) != nvars:
+        raise ArityMismatchError(f"expected {nvars} values, got {len(vals)}")
+    vals = [field.from_int(v) if isinstance(v, int) else v for v in vals]
+    for v in vals:
+        if v.field != field:
+            raise FieldMismatchError(f"{field} vs {v.field}")
+    return [{1: v} if v else None for v in vals]
+
+
+def _power(table, k):
+    p = table.get(k)
+    if p is None:
+        p = table[k] = table[1] ** k
+    return p
+
+
+def _value(field, terms, powers):
+    """The value of a term dict at the point of the power tables."""
+    acc = field.zero()
+    for exps, c in terms.items():
+        for v, k in enumerate(exps):
+            if k:
+                table = powers[v]
+                if table is None:
+                    break
+                c = c * _power(table, k)
+        else:
+            acc = acc + c
+    return acc
+
+
+def _value_and_gradient(field, terms, powers):
+    """The value and the partial derivatives of a term dict, in one pass.
+
+    A term with no vanishing coordinate adds its value m to the value and
+    k*m/x_v to the v-th partial for each x_v^k in it; a term with one
+    vanishing coordinate x_z, to the first power, adds its cofactor to the
+    z-th partial alone; any other term adds nothing.
+    """
+    zero = field.zero()
+    val = zero
+    grad = [zero] * len(powers)
+    for exps, c in terms.items():
+        vanishing = None
+        for v, k in enumerate(exps):
+            if k:
+                table = powers[v]
+                if table is not None:
+                    c = c * _power(table, k)
+                elif k > 1 or vanishing is not None:
+                    break
+                else:
+                    vanishing = v
+        else:
+            if vanishing is not None:
+                grad[vanishing] = grad[vanishing] + c
+                continue
+            val = val + c
+            for v, k in enumerate(exps):
+                if k:
+                    g = c * _power(powers[v], -1)
+                    grad[v] = grad[v] + (g * k if k > 1 else g)
+    return val, grad
 
 
 # ---------------------------------------------------------------------------
@@ -676,31 +754,48 @@ def poly_gcd_list(ps):
     After a few unlucky combinations, and over small prime fields, where
     most combinations are unlucky, the pairwise chain decides.
     """
-    ps = sorted((p for p in ps if not p.is_zero), key=lambda p: (p.total_degree, len(p.terms)))
-    if not ps:
+    return _gcd_cofactors(ps)[0]
+
+
+def _gcd_cofactors(ps):
+    """poly_gcd_list(ps) and every member divided by it, in the order given.
+
+    Where dividing the members verified the gcd, those quotients are kept,
+    so no member is divided twice.
+    """
+    ps = list(ps)
+    order = sorted((p for p in ps if not p.is_zero), key=lambda p: (p.total_degree, len(p.terms)))
+    if not order:
         raise PreconditionError("gcd of an all-zero family")
-    head, rest = ps[0], ps[1:]
-    if len(rest) < 2:
-        return poly_gcd(head, rest[0]) if rest else head.monic()
+    head, rest = order[0], order[1:]
     field = head.field
     top = field.modulus if field.kind is FieldKind.PRIME_FIELD else 1 << 16
-    tries = 0 if _few_points(field, ps[-1].total_degree) else _COMBINATION_TRIES
+    chain = len(rest) < 2 or _few_points(field, order[-1].total_degree)
     rng = random.Random(_CERT_SEED + 1)
-    for _ in range(tries):
+    for _ in range(0 if chain else _COMBINATION_TRIES):
         mix = Polynomial.zero(field, head.nvars)
         for p in rest:
             mix = mix + p * rng.randrange(1, top)
         if mix.is_zero:
             continue
         g = poly_gcd(head, mix)
-        if g.is_constant or all(divides(g, p) for p in rest):
-            return g
-    g = head.monic()
-    for p in rest:
         if g.is_constant:
-            break
-        g = poly_gcd(g, p)
-    return g
+            return g, ps
+        try:
+            return g, [exact_div(p, g) if p else p for p in ps]
+        except InexactDivisionError:
+            continue
+    if len(rest) < 2:
+        g = poly_gcd(head, rest[0]) if rest else head.monic()
+    else:
+        g = head.monic()
+        for p in rest:
+            if g.is_constant:
+                break
+            g = poly_gcd(g, p)
+    if g.is_constant:
+        return g, ps
+    return g, [exact_div(p, g) if p else p for p in ps]
 
 
 def poly_lcm(a, b):
@@ -729,16 +824,7 @@ def dehomogenize(p):
         raise ArityMismatchError("no variable to dehomogenize")
     out = {}
     for exps, c in p.terms.items():
-        tail = exps[1:]
-        prev = out.get(tail)
-        if prev is None:
-            out[tail] = c
-        else:
-            s = prev + c
-            if s:
-                out[tail] = s
-            else:
-                del out[tail]
+        _fold(out, exps[1:], c)
     return Polynomial._raw(p.field, p.nvars - 1, out)
 
 
@@ -846,10 +932,11 @@ class RationalFunction:
         return bool(self.den.evaluate(vals))
 
     def evaluate(self, vals):
-        d = self.den.evaluate(vals)
+        powers = _powers_at(self.field, self.nvars, vals)
+        d = _value(self.field, self.den.terms, powers)
         if not d:
             raise PoleAtPointError(f"denominator vanishes at {[str(v) for v in vals]}")
-        return self.num.evaluate(vals) / d
+        return _value(self.field, self.num.terms, powers) / d
 
     def __str__(self):
         if self.is_polynomial:
@@ -864,7 +951,8 @@ def jacobian(fs, point):
     """Jacobian matrix of a tuple of rational functions at a point.
 
     Row i holds the partial derivatives of fs[i]; every denominator must be
-    nonzero at the point.
+    nonzero at the point.  Numerators and denominators give their values
+    and gradients in one pass over their terms each.
     """
     if not fs:
         raise PreconditionError("jacobian of an empty tuple")
@@ -873,18 +961,21 @@ def jacobian(fs, point):
     point = [field.from_int(v) if isinstance(v, int) else v for v in point]
     if len(point) != m:
         raise ArityMismatchError(f"point has {len(point)} coordinates, expected {m}")
+    powers = _powers_at(field, m, point)
     rows = []
     for f in fs:
-        d = f.den.evaluate(point)
+        if f.field != field or f.nvars != m:
+            _powers_at(f.field, f.nvars, point)  # raises as evaluating f would
+        d, dd = _value_and_gradient(field, f.den.terms, powers)
         if not d:
             raise PoleAtPointError("jacobian at a pole")
-        n = f.num.evaluate(point)
-        row = []
-        for v in range(m):
-            dn = f.num.derivative(v).evaluate(point)
-            dd = f.den.derivative(v).evaluate(point)
-            row.append((dn * d - n * dd) / (d * d))
-        rows.append(row)
+        n, dn = _value_and_gradient(field, f.num.terms, powers)
+        inv = d.inverse()
+        if any(dd):
+            inv2 = inv * inv
+            rows.append([(a * d - n * b) * inv2 for a, b in zip(dn, dd)])
+        else:
+            rows.append([a * inv for a in dn])
     return rows
 
 
@@ -954,6 +1045,13 @@ def _tokenize(text):
 
 
 class _PolyParser:
+    """Recursive descent that folds a sum into one term dict, term by term.
+
+    A term is read as a coefficient, an exponent vector and the product of
+    its nonconstant parenthesised factors, if any; only those cost
+    polynomial products.
+    """
+
     def __init__(self, tokens, field, nvars, offset):
         self.tokens = tokens
         self.pos = 0
@@ -981,71 +1079,85 @@ class _PolyParser:
         if kind in ("+", "-"):
             self.take()
             sign = -1 if kind == "-" else 1
-        p = self.term()
-        if sign < 0:
-            p = -p
+        terms = {}
         while True:
+            c, exps, group = self.term()
+            if sign < 0:
+                c = -c
+            if group is None:
+                _fold(terms, tuple(exps), c)
+            elif c:
+                for e, gc in group.terms.items():
+                    _fold(terms, tuple(x + y for x, y in zip(e, exps)), gc * c)
             kind, _ = self.peek()
-            if kind == "+":
-                self.take()
-                p = p + self.term()
-            elif kind == "-":
-                self.take()
-                p = p - self.term()
-            else:
-                return p
+            if kind not in ("+", "-"):
+                return Polynomial._raw(self.field, self.nvars, terms)
+            self.take()
+            sign = -1 if kind == "-" else 1
 
     def term(self):
-        p = self.factor()
+        c = None
+        exps = [0] * self.nvars
+        group = None
+        divide = False
         while True:
-            kind, _ = self.peek()
-            if kind == "*":
-                self.take()
-                p = p * self.factor()
-            elif kind == "/":
-                self.take()
-                q = self.factor()
-                if not q.is_constant:
+            f = self.factor()
+            if divide:
+                if isinstance(f, tuple):
+                    if f[1]:
+                        raise ParseError("division only by constants")
+                    f = self.field.one()
+                elif isinstance(f, Polynomial):
                     raise ParseError("division only by constants")
-                c = q.constant_term()
-                if not c:
+                elif not f:
                     raise ParseError("division by zero in literal")
-                p = p * c.inverse()
-            elif kind in ("int", "var", "imag", "("):
-                p = p * self.factor()
+                f = f.inverse()
+            if isinstance(f, tuple):
+                exps[f[0]] += f[1]
+            elif isinstance(f, Polynomial):
+                group = f if group is None else group * f
             else:
-                return p
+                c = f if c is None else c * f
+            kind, _ = self.peek()
+            if kind in ("*", "/"):
+                self.take()
+                divide = kind == "/"
+            elif kind in ("int", "var", "imag", "("):
+                divide = False
+            else:
+                return (self.field.one() if c is None else c), exps, group
 
     def factor(self):
-        p = self.atom()
+        # a Scalar, a variable power (slot, k) or a nonconstant Polynomial
+        f = self.atom()
         kind, _ = self.peek()
         if kind == "^":
             self.take()
-            ekind, eval_ = self.take()
+            ekind, k = self.take()
             if ekind != "int":
                 raise ParseError("exponent must be an integer literal")
-            p = p**eval_
-        return p
+            f = (f[0], k) if isinstance(f, tuple) else f**k
+        return f
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return Polynomial.constant(self.field, self.nvars, val)
+            return self.field.from_int(val)
         if kind == "imag":
             if self.field.kind is not FieldKind.GAUSSIAN_RATIONAL:
                 raise ParseError("the literal i needs the field Qi")
-            return Polynomial.constant(self.field, self.nvars, self.field.from_pair(0, 1))
+            return self.field.from_pair(0, 1)
         if kind == "var":
             slot = val - self.offset
             if not 0 <= slot < self.nvars:
                 raise ParseError(f"variable x{val} out of range")
-            return Polynomial.variable(self.field, self.nvars, slot)
+            return (slot, 1)
         if kind == "(":
             p = self.expr()
             ckind, _ = self.take()
             if ckind != ")":
                 raise ParseError("expected closing parenthesis")
-            return p
+            return p.constant_term() if p.is_constant else p
         raise ParseError(f"unexpected token {kind!r}")
 
 

@@ -159,7 +159,8 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            # fields are mostly the same object; FieldSpec.__eq__ is slow
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from birat import cremona as cremona_module
 from birat import matrices, suites
 from birat import poly as poly_module
 from birat.cremona import (
@@ -254,6 +255,34 @@ def test_local_isomorphism_makes_no_compose_or_gcd(monkeypatch):
     assert f.is_local_isomorphism(parse_point("[1:0:0]", QQ))
     assert f.is_local_isomorphism(parse_point("[1:2:3]", QQ))
     assert calls == []
+
+
+def test_local_isomorphism_takes_no_derivative(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("derivative called")
+
+    monkeypatch.setattr(Polynomial, "derivative", refuse)
+    f = mp("P^2: [x0^2 + x1*x2 : x0*x1 : x0*x2 + x2^2]")
+    assert f.is_local_isomorphism(parse_point("[1:0:0]", QQ))
+    assert f.is_local_isomorphism(parse_point("[1:2:3]", QQ))
+    assert not mp(SIGMA).is_local_isomorphism(parse_point("[0:1:0]", QQ))
+
+
+def test_reduction_divides_each_component_once(monkeypatch):
+    # the quotients that verified the common factor are the reduced map
+    calls = []
+    real = poly_module.exact_div
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(poly_module, "exact_div", counted)
+    monkeypatch.setattr(cremona_module, "exact_div", counted)
+    g = poly3("x0 + 2*x1 - x2")
+    comps = [poly3(t) * g for t in ("x1*x2", "x0*x2", "x0*x1")]
+    assert CremonaMap(comps) == mp(SIGMA)
+    assert [sum(a == c and b == g for a, b in calls) for c in comps] == [1, 1, 1]
 
 
 def test_max_degree():

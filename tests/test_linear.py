@@ -12,6 +12,7 @@ from birat.errors import (
     NotUnimodularError,
     ParseError,
     PreconditionError,
+    SingularMatrixError,
 )
 from birat.linear import (
     DieudonneAutomorphism,
@@ -32,6 +33,7 @@ from birat.linear import (
     two_fixed_point_automorphism,
 )
 from birat.scalars import GF, QI, QQ, conjugation, frobenius, identity_automorphism
+from birat.suites import rand_invertible
 
 F5 = GF(5)
 
@@ -231,3 +233,30 @@ def test_matrix_round_trip():
 def test_point_round_trip():
     p = pt("[1:-2/3:0]")
     assert pt(point_str(p)) == p
+
+
+def test_products_and_inverses_skip_the_determinant(monkeypatch):
+    rng = random.Random(9)
+    g = ProjLinear(QI, rand_invertible(rng, QI, 3))
+    h = ProjLinear(QI, rand_invertible(rng, QI, 3))
+    checked = {
+        "product": matrices.mat_mul(g.rows(), h.rows()),
+        "inverse": matrices.inv(g.rows()),
+        "transpose_inverse": matrices.transpose(matrices.inv(g.rows())),
+        "twist": matrices.map_entries(g.rows(), conjugation(QI)),
+    }
+    checked = {k: ProjLinear(QI, m) for k, m in checked.items()}
+    dets = []
+    real = matrices.det
+    monkeypatch.setattr(matrices, "det", lambda m: dets.append(m) or real(m))
+    trusted = {
+        "product": g * h,
+        "inverse": g.inverse(),
+        "transpose_inverse": g.transpose_inverse(),
+        "twist": g.twist(conjugation(QI)),
+    }
+    assert trusted == checked
+    assert dets == []
+    with pytest.raises(SingularMatrixError):
+        ProjLinear(QQ, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    assert len(dets) == 1

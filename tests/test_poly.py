@@ -540,3 +540,157 @@ def test_cremona_suite_finishes_at_dim_3(field):
     assert code == 0
     assert json.loads(out.getvalue())["passed"] == 12
     assert elapsed < VERIFY_GATE_S
+
+
+# ---------------------------------------------------------------------------
+# evaluation and the Jacobian against the term-by-term and derivative route
+
+
+def _reference_value(f, point):
+    acc = f.field.zero()
+    for exps, c in f.terms.items():
+        t = c
+        for v, k in enumerate(exps):
+            if k:
+                t = t * point[v] ** k
+        acc = acc + t
+    return acc
+
+
+def _reference_jacobian(fs, point):
+    rows = []
+    for f in fs:
+        d = _reference_value(f.den, point)
+        n = _reference_value(f.num, point)
+        rows.append([
+            (_reference_value(f.num.derivative(v), point) * d
+             - n * _reference_value(f.den.derivative(v), point)) / (d * d)
+            for v in range(len(point))
+        ])
+    return rows
+
+
+def _test_points(rng, field, nvars):
+    yield [field.zero()] * nvars
+    for _ in range(3):
+        yield [_rand_coeff(rng, field) if rng.random() < 0.5 else field.zero() for _ in range(nvars)]
+        yield [_rand_coeff(rng, field) for _ in range(nvars)]
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_evaluate_and_jacobian_match_the_derivative_route(name):
+    field = FIELDS[name]
+    rng = random.Random(f"jacobian/{name}")
+    seen = {"pole": 0, "defined": 0, "rational": 0}
+    for _ in range(12):
+        nv = rng.randint(1, 4)
+        fs = []
+        for _ in range(rng.randint(1, 3)):
+            num = _rand_poly(rng, field, nv, 4, rng.randint(0, 6))
+            den = _rand_poly(rng, field, nv, 2, 3)
+            fs.append(RationalFunction(num, den) if den else RationalFunction(num))
+        seen["rational"] += sum(not f.is_polynomial for f in fs)
+        for point in _test_points(rng, field, nv):
+            for f in fs:
+                assert f.num.evaluate(point) == _reference_value(f.num, point)
+                assert f.den.evaluate(point) == _reference_value(f.den, point)
+            if all(_reference_value(f.den, point) for f in fs):
+                seen["defined"] += 1
+                assert jacobian(fs, point) == _reference_jacobian(fs, point)
+                assert fs[0].evaluate(point) == (
+                    _reference_value(fs[0].num, point) / _reference_value(fs[0].den, point)
+                )
+            else:
+                seen["pole"] += 1
+                with pytest.raises(PoleAtPointError):
+                    jacobian(fs, point)
+    assert all(seen.values()), seen
+    x0 = Polynomial.variable(field, 2, 0)
+    with pytest.raises(PoleAtPointError):
+        jacobian([RationalFunction(x0 + 1, x0)], [0, 1])
+
+
+def test_jacobian_takes_no_derivative(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("derivative called")
+
+    monkeypatch.setattr(Polynomial, "derivative", refuse)
+    f = RationalFunction(p("x0^2*x1 - 3*x1 + 1"), p("x0 + x1^2 + 2"))
+    j = jacobian([f, RationalFunction(p("x0*x1"))], [QQ.zero(), QQ.from_int(2)])
+    assert [[str(x) for x in row] for row in j] == [["5/36", "1/18"], ["2", "0"]]
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_parse_round_trips_over_every_field(name):
+    field = FIELDS[name]
+    rng = random.Random(f"parse/{name}")
+    for _ in range(40):
+        nv = rng.randint(1, 4)
+        f = _rand_poly(rng, field, nv, 5, rng.randint(0, 8))
+        assert parse_poly(poly_str(f), field, nv) == f
+        assert parse_poly(poly_str(f, offset=1), field, nv, offset=1) == f
+
+
+def test_parse_hand_cases():
+    x0, x1 = (Polynomial.variable(QQ, 2, v) for v in range(2))
+    half = QQ.from_fraction(1, 2)
+    cases = {
+        "3x0": x0 * 3,
+        "3 x0 x1^2": x0 * x1 * x1 * 3,
+        "x0/2": x0 * half,
+        "x0/2/3*4": x0 * QQ.from_fraction(2, 3),
+        "2^3*x0": x0 * 8,
+        "x0^0*5 + x1^1": x1 + 5,
+        "-x0 + x1": x1 - x0,
+        "-(x0 - x1)^2": -((x0 - x1) * (x0 - x1)),
+        "((x0 + 1)*(x1 - 2))^2 - 1": ((x0 + 1) * (x1 - 2)) ** 2 - 1,
+        "2(x0 + x1)x1(x0 - 1)/3": (x0 + x1) * x1 * (x0 - 1) * QQ.from_fraction(2, 3),
+        "(1/2)x0 - (3 - 1)": x0 * half - 2,
+        "x0*x1 - x1*x0 + 0*x0": Polynomial.zero(QQ, 2),
+        "(x0 + x1)^2 - x0^2 - 2x0x1 - x1^2": Polynomial.zero(QQ, 2),
+    }
+    for text, expected in cases.items():
+        assert parse_poly(text, QQ, 2) == expected, text
+    i = QI.from_pair(0, 1)
+    y0 = Polynomial.variable(QI, 1, 0)
+    assert parse_poly("i^2", QI, 1) == Polynomial.constant(QI, 1, -1)
+    assert parse_poly("(1+i)^2*x0 - i x0 i", QI, 1) == y0 * (2 * i + 1)
+    assert parse_poly("x0/(2i)", QI, 1) == y0 * (2 * i).inverse()
+    assert parse_poly("3*x0^2 + 4", GF(5), 1) == parse_poly("-2x0^2 - 1", GF(5), 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x0/0", "division by zero in literal"),
+    ("x0/(x1 - x1)", "division by zero in literal"),
+    ("x0/x1", "division only by constants"),
+    ("1/(x0 + 1)", "division only by constants"),
+    ("x2 + 1", "variable x2 out of range"),
+    ("i*x0", "the literal i needs the field Qi"),
+    ("x0^x1", "exponent must be an integer literal"),
+    ("x0^(1/2)", "exponent must be an integer literal"),
+    ("x0^", "exponent must be an integer literal"),
+    ("x0 + -x1", "unexpected token '-'"),
+    ("(x0 + 1", "expected closing parenthesis"),
+    ("x0)", "trailing input after polynomial"),
+    ("x0 % 2", "unexpected character '%' in 'x0 % 2'"),
+])
+def test_parse_errors_keep_their_codes(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, QQ, 2)
+    assert err.value.code == "PARSE_ERROR"
+    assert str(err.value) == message
+
+
+def test_a_sum_of_monomials_is_parsed_without_polynomial_sums(monkeypatch):
+    from birat import _kernels
+
+    add = _spy(monkeypatch, _kernels, "add_terms")
+    mul = _spy(monkeypatch, _kernels, "mul_terms")
+    text = " + ".join(f"{k}*x0^{k}*x1^{40 - k}" for k in range(1, 40)) + " - 7/2"
+    f = parse_poly(text, QQ, 2)
+    assert len(f.terms) == 40
+    assert add == [] and mul == []
