@@ -1,8 +1,11 @@
 """Term-dict kernels: the inner loops of polynomial arithmetic.
 
 A term dict maps an exponent tuple to a nonzero coefficient; coefficients
-only need +, * and truthiness, so these kernels are shared by every field.
+only need +, * and truthiness, so these kernels are shared by every field,
+and by the raw values (ints, Gaussian integers) that poly.py runs them on.
 """
+
+from operator import add as _add
 
 
 def mul_terms(a, b):
@@ -13,7 +16,7 @@ def mul_terms(a, b):
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
+            key = tuple(map(_add, ea, eb))
             prev = get(key)
             out[key] = ca * cb if prev is None else prev + ca * cb
     return {k: v for k, v in out.items() if v}

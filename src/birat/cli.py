@@ -9,6 +9,7 @@ Exit codes: 0 on success, 1 when a verification suite reports failures,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -168,6 +169,9 @@ def _cmd_verify(args):
     return 0 if all(r.ok for r in reports) else 1
 
 
+# one parser per process, built on the first call: parse_args leaves it as
+# it was, and a suite run in process calls main many times
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="birat",
@@ -262,8 +266,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except BiratError as e:

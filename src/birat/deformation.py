@@ -196,12 +196,17 @@ def extendability(fam):
 
 
 def _affine_linear(field, m):
-    """The projective matrix of the linear chart map x -> m*x."""
+    """The projective matrix of the linear chart map x -> m*x.
+
+    m is invertible wherever this is called (extendability has just seen
+    its determinant nonzero; in limit_vs_jacobian it is the Jacobian of a
+    local isomorphism), so the determinant is not checked again.
+    """
     d = len(m)
     rows = [[field.one()] + [field.zero()] * d]
     for r in m:
         rows.append([field.zero()] + list(r))
-    return ProjLinear(field, rows)
+    return ProjLinear._trusted(field, rows)
 
 
 def limit_vs_jacobian(f):

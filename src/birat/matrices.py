@@ -1,10 +1,16 @@
 """Dense exact matrices over a FieldSpec, as lists of Scalar rows.
 
-Small and boring on purpose: Gaussian elimination with exact field division
-is all the sizes here ever need.
+Small and boring on purpose: Gaussian elimination is all the sizes here
+ever need.  Products and elimination encode the entries once as raw values
+over one shared denominator (FieldSpec._encode: integers over Q, Gaussian
+integers over Q(i), residues over F_p), run on those, and decode each
+result entry once.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 from .errors import DimMismatchError, FieldMismatchError, SingularMatrixError
 from .scalars import Scalar
@@ -40,32 +46,39 @@ def identity(field, n):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _encode_rows(field, a):
+    """(raw rows, den) with a = raw / den; every entry must lie in field."""
+    flat = [x for row in a for x in row]
+    for x in flat:
+        if x.field is not field and x.field != field:
+            raise FieldMismatchError(f"{field} vs {x.field}")
+    den = field._den(flat)
+    raw = iter(field._encode(flat, den))
+    return [[next(raw) for _ in row] for row in a], den
+
+
+def _dot(xs, ys):
+    return functools.reduce(operator.add, map(operator.mul, xs, ys))
+
+
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
         raise DimMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {k}x{m}")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    field = a[0][0].field
+    ra, da = _encode_rows(field, a)
+    rb, db = _encode_rows(field, b)
+    cols = list(zip(*rb))
+    return [field._decode([_dot(row, col) for col in cols], da * db) for row in ra]
 
 
 def mat_vec(a, v):
     if len(a[0]) != len(v):
         raise DimMismatchError("matrix/vector size mismatch")
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for t in range(1, len(v)):
-            acc = acc + row[t] * v[t]
-        out.append(acc)
-    return out
+    field = a[0][0].field
+    ra, da = _encode_rows(field, a)
+    (rv,), dv = _encode_rows(field, [v])
+    return field._decode([_dot(row, rv) for row in ra], da * dv)
 
 
 def transpose(a):
@@ -84,55 +97,70 @@ def scale(a, c):
     return [[c * x for x in row] for row in a]
 
 
-def _echelon(a, pivot_cols=None):
-    # in-place row echelon; returns (rank, det_of_leading_square_part);
-    # pivots are only chosen among the first pivot_cols columns, so an
-    # augmented block on the right never contributes to the rank
-    rows = len(a)
-    cols = len(a[0]) if pivot_cols is None else pivot_cols
-    field = a[0][0].field
-    det = field.one()
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot = i
-                break
+def _eliminate(field, rows, pivot_cols, reduced):
+    """Fraction-free (Bareiss) elimination of raw rows, in place.
+
+    Pivots are chosen among the first pivot_cols columns only, so an
+    augmented block on the right never adds to the rank.  Each step
+    replaces row i by (p*row_i - x*pivot_row) / q, where p is the pivot, x
+    the entry of row i in the pivot column and q the previous pivot; the
+    division is exact (Sylvester's identity), so the entries stay integral
+    over Q and Q(i).  Without reduced only the rows below the pivot change
+    (echelon form), which is all rank and det need, and a column without a
+    pivot is skipped; with it the rows above change too (Gauss-Jordan), and
+    the first column without a pivot ends the run, as the inverse needs.
+
+    Returns (rank, last pivot, row swaps).  When the leading square part has
+    full rank its determinant is (-1)^swaps times the last pivot; a reduced
+    run turns a full-rank square part into the last pivot times the
+    identity, and so every other column c into pivot * inverse * c.
+    """
+    n = len(rows)
+    prev = field._encode([field.one()], 1)[0]
+    r = swaps = 0
+    for c in range(pivot_cols):
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot is None:
-            det = field.zero()
+            if reduced:
+                break
             continue
         if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-            det = -det
-        det = det * a[r][c]
-        inv = a[r][c].inverse()
-        a[r] = [inv * x for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            swaps += 1
+        top = rows[r]
+        p = top[c]
+        div = field._divider(prev)
+        # left of c the pivot row and the rows below it are zero
+        start = 0 if reduced else c
+        tail = top[start:]
+        for i in range(0 if reduced else r + 1, n):
+            if i != r:
+                row = rows[i]
+                x = row[c]
+                row[start:] = [div(p * y - x * z) for y, z in zip(row[start:], tail)]
+        prev = p
         r += 1
-        if r == rows:
+        if r == n:
             break
-    return r, det
+    return r, prev, swaps
 
 
 def rank(a):
-    work = [list(row) for row in a]
-    r, _ = _echelon(work)
-    return r
+    field = a[0][0].field
+    rows, _ = _encode_rows(field, a)
+    return _eliminate(field, rows, len(a[0]), False)[0]
 
 
 def det(a):
     n = len(a)
     if len(a[0]) != n:
         raise DimMismatchError("determinant of a non-square matrix")
-    work = [list(row) for row in a]
-    r, d = _echelon(work)
+    field = a[0][0].field
+    rows, den = _encode_rows(field, a)
+    r, d, swaps = _eliminate(field, rows, n, False)
     if r < n:
-        return a[0][0].field.zero()
-    return d
+        return field.zero()
+    return field._decode([-d if swaps % 2 else d], den**n)[0]
 
 
 def inv(a):
@@ -140,8 +168,9 @@ def inv(a):
     if len(a[0]) != n:
         raise DimMismatchError("inverse of a non-square matrix")
     field = a[0][0].field
-    work = [list(row) + list(idr) for row, idr in zip(a, identity(field, n))]
-    r, _ = _echelon(work, n)
+    # [a | 1] encodes as den*[a | 1], which the run turns into [d*1 | d*a^-1]
+    work, _ = _encode_rows(field, [row + idr for row, idr in zip(a, identity(field, n))])
+    r, d, _ = _eliminate(field, work, n, True)
     if r < n:
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in work]
+    return [field._decode(row[n:], d) for row in work]

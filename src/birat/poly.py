@@ -30,6 +30,40 @@ from .errors import (
 from .scalars import FieldKind, Scalar
 
 
+# ---------------------------------------------------------------------------
+# raw field values (FieldSpec._encode): what products and substitutions run on
+#
+# The kernels need nothing of a coefficient but +, * and truthiness, so they
+# run on raw values as they are; over F_p each kernel's output is reduced
+# mod p again, so that the ints do not grow across a run.
+
+
+def _encode_terms(field, terms, den, weights=None):
+    """The raw term dict of den * terms."""
+    return dict(zip(terms, field._encode(terms.values(), den, weights)))
+
+
+def _decode_terms(field, raw, den):
+    """The Scalar term dict of raw / den; raw holds no zero."""
+    return dict(zip(raw, field._decode(raw.values(), den)))
+
+
+def _raw_kernels(field):
+    """mul_terms, add_terms and scale_terms for raw values of the field."""
+    kernels = (_kernels.mul_terms, _kernels.add_terms, _kernels.scale_terms)
+    if field.kind is not FieldKind.PRIME_FIELD:
+        return kernels
+    p = field.modulus
+
+    def reduced(kernel):
+        def run(a, b):
+            return {e: r for e, c in kernel(a, b).items() if (r := c % p)}
+
+        return run
+
+    return tuple(map(reduced, kernels))
+
+
 def grevlex_key(exps):
     # larger key <=> larger monomial in grevlex
     return (sum(exps), tuple(-e for e in reversed(exps)))
@@ -187,7 +221,12 @@ class Polynomial:
             return Polynomial._raw(self.field, self.nvars, _kernels.scale_terms(self.terms, c))
         if isinstance(other, Polynomial):
             self._check_compatible(other)
-            return Polynomial._raw(self.field, self.nvars, _kernels.mul_terms(self.terms, other.terms))
+            field = self.field
+            da = field._den(self.terms.values())
+            db = field._den(other.terms.values())
+            mul = _raw_kernels(field)[0]
+            raw = mul(_encode_terms(field, self.terms, da), _encode_terms(field, other.terms, db))
+            return Polynomial._raw(field, self.nvars, _decode_terms(field, raw, da * db))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -242,7 +281,11 @@ class Polynomial:
 
         Horner's rule in one variable after another: each step multiplies by
         one substituted polynomial, or a power of it cached across the whole
-        substitution, never by a product of several powers.
+        substitution, never by a product of several powers.  The loop runs
+        on raw values: with D the common denominator of the polys, E that of
+        self and N its total degree, the term c*x^e enters as the integer
+        E*c*D^(N-|e|) and the substituted polys as D*polys[v], so the sum
+        comes out over E*D^N, also where self is not homogeneous.
         """
         if len(polys) != self.nvars:
             raise ArityMismatchError(f"expected {self.nvars} polynomials, got {len(polys)}")
@@ -257,29 +300,39 @@ class Polynomial:
                 raise ArityMismatchError("substituted polynomials disagree on arity")
         if not self.terms:
             return Polynomial.zero(field, m)
-        pows = [{1: g} for g in polys]
+        den = field._den([c for g in polys for c in g.terms.values()])
+        top = max(sum(e) for e in self.terms)
+        dpow = [1]
+        for _ in range(top):
+            dpow.append(dpow[-1] * den)
+        fden = field._den(self.terms.values())
+        terms = _encode_terms(field, self.terms, fden, [dpow[top - sum(e)] for e in self.terms])
+        pows = [{1: _encode_terms(field, g.terms, den)} for g in polys]
+        mul, add, _ = _raw_kernels(field)
+        one = (0,) * m
+        nvars = self.nvars
 
         def power(v, k):
             if k not in pows[v]:
-                pows[v][k] = power(v, k // 2) * power(v, k - k // 2)
+                pows[v][k] = mul(power(v, k // 2), power(v, k - k // 2))
             return pows[v][k]
 
         def horner(terms, v):
             # sum of c * prod polys[v + j]^e[j] over terms {e: c}
-            if v == self.nvars:
-                return Polynomial.constant(field, m, terms[()])
+            if v == nvars:
+                return {one: terms[()]}
             groups = {}
             for e, c in terms.items():
                 groups.setdefault(e[0], {})[e[1:]] = c
             degrees = sorted(groups, reverse=True)
             acc = horner(groups[degrees[0]], v + 1)
             for k, below in zip(degrees, degrees[1:]):
-                acc = acc * power(v, k - below) + horner(groups[below], v + 1)
+                acc = add(mul(acc, power(v, k - below)), horner(groups[below], v + 1))
             if degrees[-1]:
-                acc = acc * power(v, degrees[-1])
+                acc = mul(acc, power(v, degrees[-1]))
             return acc
 
-        return horner(self.terms, 0)
+        return Polynomial._raw(field, m, _decode_terms(field, horner(terms, 0), fden * dpow[top]))
 
     def derivative(self, v):
         if not 0 <= v < self.nvars:
@@ -772,12 +825,18 @@ def _gcd_cofactors(ps):
     top = field.modulus if field.kind is FieldKind.PRIME_FIELD else 1 << 16
     chain = len(rest) < 2 or _few_points(field, order[-1].total_degree)
     rng = random.Random(_CERT_SEED + 1)
+    if not chain:
+        den = field._den([c for p in rest for c in p.terms.values()])
+        raws = [_encode_terms(field, p.terms, den) for p in rest]
+        _, add, scale = _raw_kernels(field)
     for _ in range(0 if chain else _COMBINATION_TRIES):
-        mix = Polynomial.zero(field, head.nvars)
-        for p in rest:
-            mix = mix + p * rng.randrange(1, top)
-        if mix.is_zero:
+        mix = {}
+        for raw in raws:
+            k = field._encode([field.from_int(rng.randrange(1, top))], 1)[0]
+            mix = add(mix, scale(raw, k))
+        if not mix:
             continue
+        mix = Polynomial._raw(field, head.nvars, _decode_terms(field, mix, den))
         g = poly_gcd(head, mix)
         if g.is_constant:
             return g, ps

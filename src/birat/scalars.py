@@ -10,6 +10,8 @@ involved anywhere.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,12 +113,115 @@ class FieldSpec:
             raise FieldMismatchError("real/imaginary pairs only exist over Q(i)")
         return Scalar(self, (Fraction(re), Fraction(im)))
 
+    # Raw values, what the inner loops of poly.py and matrices.py run on:
+    # residues mod p over F_p (not always reduced inside a loop), integers
+    # over Q and _GaussianInt over Q(i), the latter two standing for
+    # themselves over a denominator that the loop keeps on the side.  Each
+    # has +, -, * and truthiness.
+
+    def _den(self, scalars):
+        """The least common denominator of the scalars; 1 over F_p."""
+        if self.kind is FieldKind.RATIONAL:
+            return math.lcm(*(s.value.denominator for s in scalars))
+        if self.kind is FieldKind.GAUSSIAN_RATIONAL:
+            return math.lcm(*(q.denominator for s in scalars for q in s.value))
+        return 1
+
+    def _encode(self, scalars, den, weights=None):
+        """The raw values of den*s for s in scalars, each times its weight.
+
+        den must clear every denominator (see _den).  weights hold one
+        integer per scalar; over F_p, where den is 1, they must be 1 too
+        and are not read.
+        """
+        if self.kind is FieldKind.PRIME_FIELD:
+            return [s.value for s in scalars]
+        if weights is None:
+            weights = itertools.repeat(1)
+        if self.kind is FieldKind.RATIONAL:
+            return [
+                s.value.numerator * (den // s.value.denominator) * w
+                for s, w in zip(scalars, weights)
+            ]
+        out = []
+        for s, w in zip(scalars, weights):
+            re, im = s.value
+            out.append(_GaussianInt(
+                re.numerator * (den // re.denominator) * w,
+                im.numerator * (den // im.denominator) * w,
+            ))
+        return out
+
+    def _decode(self, raws, den):
+        """The Scalars r/den for r in raws; den is a nonzero raw value."""
+        if self.kind is FieldKind.PRIME_FIELD:
+            p = self.modulus
+            if den != 1:
+                inv = pow(den, -1, p)
+                return [Scalar(self, r * inv % p) for r in raws]
+            return [Scalar(self, r % p) for r in raws]
+        if self.kind is FieldKind.RATIONAL:
+            if den == 1:
+                return [Scalar(self, Fraction(r)) for r in raws]
+            return [Scalar(self, Fraction(r, den)) for r in raws]
+        if isinstance(den, _GaussianInt):
+            conj = _GaussianInt(den.re, -den.im)
+            raws = [r * conj for r in raws]
+            den = den.re * den.re + den.im * den.im
+        return [Scalar(self, (Fraction(r.re, den), Fraction(r.im, den))) for r in raws]
+
+    def _divider(self, d):
+        """A function dividing raw values by the nonzero raw value d.
+
+        Over Q and Q(i) the quotient must be exact; over F_p the result is
+        reduced.
+        """
+        if self.kind is FieldKind.PRIME_FIELD:
+            p = self.modulus
+            inv = pow(d, -1, p)
+            return lambda v: v * inv % p
+        return lambda v: v // d
+
     def __str__(self):
         if self.kind is FieldKind.PRIME_FIELD:
             return f"F{self.modulus}"
         return self.kind.value
 
     __repr__ = __str__
+
+
+class _GaussianInt:
+    """a + b*i with integer a and b: the raw value over Q(i)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        return _GaussianInt(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _GaussianInt(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return _GaussianInt(-self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b = self.re, self.im
+        c, d = other.re, other.im
+        return _GaussianInt(a * c - b * d, a * d + b * c)
+
+    def __floordiv__(self, other):
+        # exact division only: multiply by the conjugate, divide by the norm
+        a, b = self.re, self.im
+        c, d = other.re, other.im
+        n = c * c + d * d
+        return _GaussianInt((a * c + b * d) // n, (b * c - a * d) // n)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
 
 
 QQ = FieldSpec(FieldKind.RATIONAL)

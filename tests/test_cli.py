@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from birat.cli import main
 from birat.suites import SuiteReport
 
@@ -224,3 +226,25 @@ def test_file_arguments(capsys, tmp_path):
     code, out, _ = run(capsys, "degree", str(path))
     assert code == 0
     assert out.strip() == "2"
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    verify = ("verify", "--suite", "linear", "--trials", "3", "--seed", "4")
+    code, out, _ = run(capsys, *verify, "--json")
+    assert code == 0 and json.loads(out)["suite"] == "linear"
+    code, plain, _ = run(capsys, *verify)
+    assert code == 0 and plain.startswith("linear")
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(plain)
+    _, qi, _ = run(capsys, "compose", "P^1: [x0 : i*x1]", "P^1: [x0 : i*x1]", "--field", "Qi")
+    assert qi.strip() == "P^1: [x0 : -x1]"
+    code, _, err = run(capsys, "compose", "P^1: [x0 : i*x1]", "P^1: [x0 : x1]")
+    assert code == 2 and err.startswith("PARSE_ERROR")
+    code, out, _ = run(capsys, "deform", HENON, "--json")
+    assert json.loads(out)["extendable"]
+    code, out, _ = run(capsys, "deform", HENON)
+    assert out.startswith("t-family")
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--suite", "nope"])
+    assert exit_.value.code == 2
+    assert run(capsys, *verify)[1] == plain

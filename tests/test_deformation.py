@@ -181,3 +181,31 @@ def test_moved_point_family():
     verdict = extendability(build_family(conj))
     assert verdict.extendable
     assert verdict.limit == ProjLinear(QQ, parse_matrix("[[1,0,0],[0,-1,0],[0,0,-1]]", QQ))
+
+
+def test_affine_linear_runs_no_determinant(monkeypatch):
+    # extendability has just seen the determinant nonzero, and in
+    # limit_vs_jacobian the local-isomorphism check implies it
+    from birat import deformation, matrices
+
+    inside, dets = [], []
+    real_affine, real_det = deformation._affine_linear, matrices.det
+
+    def affine(field, m):
+        inside.append(True)
+        try:
+            return real_affine(field, m)
+        finally:
+            inside.pop()
+
+    def det(a):
+        dets.append(bool(inside))
+        return real_det(a)
+
+    monkeypatch.setattr(deformation, "_affine_linear", affine)
+    monkeypatch.setattr(matrices, "det", det)
+    f = parse_map(HENON, QQ)
+    verdict = extendability(build_family(f))
+    assert verdict.extendable and limit_vs_jacobian(f)
+    assert str(verdict.limit) == str(ProjLinear(QQ, parse_matrix("[[1,0,0],[0,0,1],[0,1,0]]", QQ)))
+    assert dets and not any(dets)

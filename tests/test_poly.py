@@ -694,3 +694,147 @@ def test_a_sum_of_monomials_is_parsed_without_polynomial_sums(monkeypatch):
     f = parse_poly(text, QQ, 2)
     assert len(f.terms) == 40
     assert add == [] and mul == []
+
+
+# ---------------------------------------------------------------------------
+# products and substitution on raw values against the Scalar route
+
+
+def _reference_product(f, g):
+    out = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, f.field.zero()) + ca * cb
+    return Polynomial(f.field, f.nvars, out)
+
+
+def _reference_power(g, k):
+    out = Polynomial.one(g.field, g.nvars)
+    for _ in range(k):
+        out = _reference_product(out, g)
+    return out
+
+
+def _reference_substitute(f, gs):
+    field, m = f.field, gs[0].nvars
+    out = {}
+    for exps, c in f.terms.items():
+        t = Polynomial.constant(field, m, c)
+        for g, k in zip(gs, exps):
+            t = _reference_product(t, _reference_power(g, k))
+        for e, d in t.terms.items():
+            out[e] = out.get(e, field.zero()) + d
+    return Polynomial(field, m, out)
+
+
+def _wide_coeff(rng, field):
+    # denominators up to 10^6 over Q and Q(i)
+    if field.kind is FieldKind.PRIME_FIELD:
+        return _rand_coeff(rng, field)
+    c = field.from_fraction(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6))
+    if field.kind is FieldKind.GAUSSIAN_RATIONAL:
+        c = c + field.from_pair(0, Fraction(rng.randint(-50, 50), rng.randint(1, 10**6)))
+    return c
+
+
+def _raw_route_polys(rng, field, nvars, degree, nterms):
+    f = _rand_poly(rng, field, nvars, degree, nterms)
+    if rng.random() < 0.3:
+        f = f + Polynomial.monomial(field, nvars, [0] * nvars, _wide_coeff(rng, field))
+        f = f * _wide_coeff(rng, field)
+    return f
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_substitute_and_product_match_the_scalar_route(name):
+    field = FIELDS[name]
+    rng = random.Random(f"raw/{name}")
+    for _ in range(25):
+        n, m = rng.randint(1, 3), rng.randint(1, 4)
+        f = _raw_route_polys(rng, field, n, 4, rng.randint(0, 6))
+        gs = [_raw_route_polys(rng, field, m, 2, rng.randint(0, 3)) for _ in range(n)]
+        assert f.substitute(gs) == _reference_substitute(f, gs)
+        h = _raw_route_polys(rng, field, n, 3, rng.randint(0, 5))
+        assert f * h == _reference_product(f, h)
+        assert h * f == _reference_product(h, f)
+    x0, x1 = Polynomial.variable(field, 2, 0), Polynomial.variable(field, 2, 1)
+    g = _raw_route_polys(rng, field, 3, 2, 3) + 1
+    cases = [
+        (x0 - x1, [g, g]),  # cancels to zero
+        (Polynomial.constant(field, 2, _wide_coeff(rng, field)), [g, g * 2]),
+        (Polynomial.zero(field, 2), [g, g]),
+        (x0 * x1 + x0 + 1, [Polynomial.zero(field, 3), g]),  # not homogeneous
+        (x0 ** 3 - x1 * _wide_coeff(rng, field), [g * _wide_coeff(rng, field), g * g + 1]),
+    ]
+    for f, gs in cases:
+        h = f.substitute(gs)
+        assert h.nvars == 3
+        assert h == _reference_substitute(f, gs)
+    assert (x0 - x1).substitute([g, g]).is_zero
+    assert (x0 + x1) * (x0 - x1) == _reference_product(x0 + x1, x0 - x1)
+    assert len(((x0 + x1) * (x0 - x1)).terms) == 2
+
+
+def test_substitute_runs_on_raw_values(monkeypatch):
+    from birat import _kernels
+    from birat.scalars import Scalar
+
+    calls = []
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        real = getattr(Scalar, attr)
+
+        def spy(self, other, real=real, attr=attr):
+            calls.append(attr)
+            return real(self, other)
+
+        monkeypatch.setattr(Scalar, attr, spy)
+    rng = random.Random("raw-calls")
+    cases = []
+    for field in FIELDS.values():
+        f = _rand_poly(rng, field, 3, 4, 6) + 1
+        gs = [_rand_poly(rng, field, 4, 2, 3) for _ in range(3)]
+        cases.append((f, gs, _reference_substitute(f, gs)))
+    calls.clear()
+    kernel_calls = _spy(monkeypatch, _kernels, "mul_terms")
+    for f, gs, expected in cases:
+        assert f.substitute(gs).terms == expected.terms
+        assert calls == []
+    assert kernel_calls
+
+
+# ---------------------------------------------------------------------------
+# a P^4 composition that is bound by substitute and the term kernels
+
+with open(os.path.join(os.path.dirname(__file__), "data", "p4_compose.json")) as fh:
+    P4_PAIR = json.load(fh)
+
+# It takes about 6 s on a 2-CPU machine, 22-25 s when substitute ran on Scalars.
+P4_COMPOSE_GATE_S = 15.0
+
+
+def test_p4_involution_pair_composes_within_its_gate():
+    import hashlib
+
+    from birat.cremona import map_str
+    from birat.linear import ProjPoint
+
+    field = parse_field(P4_PAIR["field"])
+    f, g = parse_map(P4_PAIR["f"], field), parse_map(P4_PAIR["g"], field)
+    start = time.perf_counter()
+    fg = f.compose(g)
+    elapsed = time.perf_counter() - start
+    assert fg.degree == P4_PAIR["composite_degree"]
+    assert hashlib.sha256(map_str(fg).encode()).hexdigest() == P4_PAIR["composite_sha256"]
+    rng = random.Random("p4-pair")
+    checked = 0
+    while checked < 3:
+        pt = ProjPoint(field, [1] + [rng.randrange(101) for _ in range(4)])
+        if g.is_indeterminate_at(pt) or fg.is_indeterminate_at(pt):
+            continue
+        q = g.apply(pt)
+        if f.is_indeterminate_at(q):
+            continue
+        assert fg.apply(pt) == f.apply(q)
+        checked += 1
+    assert elapsed < P4_COMPOSE_GATE_S
