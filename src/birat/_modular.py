@@ -2,9 +2,13 @@
 
 Everything here works on plain ints mod p: dense univariate lists (low
 degree first, no trailing zeros) and sparse dicts {exponent tuple: residue}.
-poly.py maps polynomials in, runs the certificate and Brown's dense modular
-gcd (J. ACM 18, 1971) here, and lifts the images back.  The names stay
-private, so a traced run charges this work to the gcd's own span.
+poly.py encodes each operand once (FieldSpec._encode: residues over F_p,
+integers over Q, Gaussian integers over Q(i), over one denominator), takes
+its images here under the ring maps of _embeddings, runs the certificate
+and Brown's dense modular gcd (J. ACM 18, 1971) on them, and lifts the
+result back.  A prime is used only where both images keep their leading
+monomial.  The names stay private, so a traced run charges this work to the
+gcd's own span.
 """
 
 from __future__ import annotations
@@ -108,43 +112,26 @@ def _sqrt_minus_one(p):
             return s
 
 
-def _rational_map(p):
-    def to_int(c):
-        q = c.value
-        return q.numerator * pow(q.denominator, -1, p) % p
-
-    return to_int
-
-
-def _gaussian_map(p, s):
-    # i -> s, a square root of -1 mod p
-    def to_int(c):
-        re, im = c.value
-        out = re.numerator * pow(re.denominator, -1, p)
-        if im:
-            out += s * im.numerator * pow(im.denominator, -1, p)
-        return out % p
-
-    return to_int
-
-
 def _embeddings(field):
-    """Yield (p, maps): ring maps of the field's coefficients into ints mod p.
+    """Yield (p, roots): ring maps from the field's raw values into ints mod p.
 
-    Over Q one map per word-size prime; over Q(i) the two maps i -> +-s with
-    s^2 = -1 for primes p = 1 (mod 4); over F_p the identity, again and
-    again.  A map raises ValueError where p divides a denominator.
+    Raw values are those of FieldSpec._encode: residues over F_p, integers
+    over Q and Gaussian integers over Q(i).  Over F_p the one map is the
+    identity, yielded again and again; over Q it is the reduction mod each
+    word-size prime; over Q(i) there are two per prime p = 1 (mod 4), which
+    send i to the roots s and -s of -1 mod p.  Each map is named by its
+    image of i, None where the field has no i; see _image.
     """
     if field.kind is FieldKind.PRIME_FIELD:
         while True:
-            yield field.modulus, (lambda c: c.value,)
+            yield field.modulus, (None,)
     elif field.kind is FieldKind.RATIONAL:
         for p in _word_primes(False):
-            yield p, (_rational_map(p),)
+            yield p, (None,)
     else:
         for p in _word_primes(True):
             s = _sqrt_minus_one(p)
-            yield p, (_gaussian_map(p, s), _gaussian_map(p, p - s))
+            yield p, (s, p - s)
 
 
 def _packer(vs):
@@ -155,17 +142,11 @@ def _packer(vs):
     return operator.itemgetter(*vs)
 
 
-def _image(terms, pack, to_int):
-    """{packed exponents: int mod p}, or None where to_int is undefined."""
-    out = {}
-    try:
-        for e, c in terms.items():
-            x = to_int(c)
-            if x:
-                out[pack(e)] = x
-    except ValueError:
-        return None
-    return out
+def _image(raw, p, root):
+    """{exponents: int mod p} of a raw term dict under the map i -> root."""
+    if root is None:
+        return {e: x for e, c in raw.items() if (x := c % p)}
+    return {e: x for e, c in raw.items() if (x := (c.re + root * c.im) % p)}
 
 
 def _degrees(P, n):

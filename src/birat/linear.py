@@ -30,6 +30,7 @@ from .scalars import (
     FieldKind,
     Scalar,
     _is_prime,
+    _square_and_multiply,
     identity_automorphism,
 )
 
@@ -159,14 +160,7 @@ class ProjLinear:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = ProjLinear.identity(self.field, self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _square_and_multiply(self, n, ProjLinear.identity(self.field, self.dim))
 
     def transpose_inverse(self):
         """The dual g -> transpose of g^-1, an automorphism of PGL."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 
 from . import _kernels, _modular
@@ -27,7 +26,7 @@ from .errors import (
     PoleAtPointError,
     PreconditionError,
 )
-from .scalars import FieldKind, Scalar
+from .scalars import FieldKind, Scalar, _square_and_multiply
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +66,12 @@ def _raw_kernels(field):
 def grevlex_key(exps):
     # larger key <=> larger monomial in grevlex
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _heap_key(exps):
+    # smaller key <=> larger monomial in grevlex; exact_div's min-heap,
+    # poly_str's sort and leading_term's min() all order terms by it
+    return (-sum(exps), exps[::-1])
 
 
 def _fold(terms, exps, c):
@@ -234,14 +239,7 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Polynomial.one(self.field, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _square_and_multiply(self, n, Polynomial.one(self.field, self.nvars))
 
     def __eq__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -258,7 +256,7 @@ class Polynomial:
         """Largest term in grevlex order as an (exponents, coefficient) pair."""
         if not self.terms:
             raise DivisionByZeroError("zero polynomial has no leading term")
-        e = max(self.terms, key=grevlex_key)
+        e = min(self.terms, key=_heap_key)
         return e, self.terms[e]
 
     def leading_coefficient(self):
@@ -472,11 +470,6 @@ def _value_and_gradient(field, terms, powers):
 # exact division and gcd
 
 
-def _heap_key(exps):
-    # smaller key <=> larger monomial in grevlex, for heapq's min-heap
-    return (-sum(exps), exps[::-1])
-
-
 def exact_div(a, b):
     """Divide a by b, raising InexactDivisionError on a nonzero remainder.
 
@@ -539,36 +532,50 @@ def divides(b, a):
 _CERT_SEED = 0x9E3779B9
 
 
+def _encoded(a, vs):
+    """(raw terms, their denominator, leading monomial) of a, packed to vs.
+
+    The raw terms are FieldSpec._encode's, keyed by the exponents of the
+    variables vs alone, which a and its partner together use.
+    """
+    pack = _modular._packer(vs)
+    den = a.field._den(a.terms.values())
+    raw = dict(zip(map(pack, a.terms), a.field._encode(a.terms.values(), den)))
+    return raw, den, pack(a.leading_term()[0])
+
+
 def _coprime_certificate(a, b):
     """True only when the gcd is certainly constant; False means undecided.
 
     Runs _degree_bounds on the images under the field's first ring map that
-    is defined on both; points come from a fixed seed, so the outcome is
-    reproducible.
+    keeps both leading monomials; points come from a fixed seed, so the
+    outcome is reproducible.  A map that drops a leading monomial, as
+    reducing (p*x + 1)*(x + 2) mod p does, could hide a common factor.
     """
     vs = sorted(a.support_vars() | b.support_vars())
     if not vs:
         return True
-    pack = _modular._packer(vs)
-    for p, maps in _modular._embeddings(a.field):
-        A = _modular._image(a.terms, pack, maps[0])
-        B = _modular._image(b.terms, pack, maps[0])
-        if A and B:
+    ra, _, lma = _encoded(a, vs)
+    rb, _, lmb = _encoded(b, vs)
+    for p, roots in _modular._embeddings(a.field):
+        A = _modular._image(ra, p, roots[0])
+        B = _modular._image(rb, p, roots[0])
+        if lma in A and lmb in B:
             break
     bounds = _modular._degree_bounds(A, B, len(vs), p, random.Random(_CERT_SEED), 2)
     return not any(bounds)
 
 
-def _coefficient_bits(a):
-    # bit size of a's coefficients once its denominators are cleared
-    field = a.field
+def _coefficient_bits(field, raw, den):
+    # bit size of the coefficients once the denominators are cleared: the
+    # largest cleared numerator's and the common denominator's
     if field.kind is FieldKind.PRIME_FIELD:
         return field.modulus.bit_length()
-    parts = []
-    for c in a.terms.values():
-        parts.extend(c.value if field.kind is FieldKind.GAUSSIAN_RATIONAL else (c.value,))
-    den = math.lcm(*(q.denominator for q in parts))
-    return max(abs(q.numerator) for q in parts).bit_length() + den.bit_length()
+    if field.kind is FieldKind.GAUSSIAN_RATIONAL:
+        top = max(max(abs(c.re), abs(c.im)) for c in raw.values())
+    else:
+        top = max(map(abs, raw.values()))
+    return top.bit_length() + den.bit_length()
 
 
 def _few_points(field, degree):
@@ -593,13 +600,12 @@ def _gcd_modular(a, b):
     if _few_points(field, max(a.total_degree, b.total_degree)):
         return None
     vs = sorted(a.support_vars() | b.support_vars())
-    pack = _modular._packer(vs)
-    lma = pack(a.leading_term()[0])
-    lmb = pack(b.leading_term()[0])
+    ra, da, lma = _encoded(a, vs)
+    rb, db, lmb = _encoded(b, vs)
     # Mignotte: the gcd's cleared coefficients have at most gbits bits
     gbits = min(
-        _coefficient_bits(x) + sum(x.degree_in(v) for v in vs) + len(x.terms).bit_length()
-        for x in (a, b)
+        _coefficient_bits(field, r, d) + sum(x.degree_in(v) for v in vs) + len(x.terms).bit_length()
+        for x, r, d in ((a, ra, da), (b, rb, db))
     )
     spread = 4 if kind is FieldKind.GAUSSIAN_RATIONAL else 2
     budget = (spread * gbits + 3) // 30 + 4
@@ -607,12 +613,12 @@ def _gcd_modular(a, b):
     bounds = None
     lead = acc = cand = None
     modulus = 1
-    for p, maps in itertools.islice(_modular._embeddings(field), budget):
+    for p, roots in itertools.islice(_modular._embeddings(field), budget):
         images = []
-        for to_int in maps:
-            A = _modular._image(a.terms, pack, to_int)
-            B = _modular._image(b.terms, pack, to_int)
-            if A is None or B is None or lma not in A or lmb not in B:
+        for root in roots:
+            A = _modular._image(ra, p, root)
+            B = _modular._image(rb, p, root)
+            if lma not in A or lmb not in B:
                 break
             if bounds is None:
                 bounds = _modular._degree_bounds(A, B, len(vs), p, rng, 1)
@@ -655,15 +661,13 @@ def _gcd_modular(a, b):
 def _verified(a, b, coeffs, vs):
     """The candidate as a Polynomial if it is the gcd of a and b, else None."""
     field = a.field
+    lift = field.from_pair if field.kind is FieldKind.GAUSSIAN_RATIONAL else field.from_fraction
     terms = {}
     for packed, parts in coeffs.items():
         e = [0] * a.nvars
         for v, k in zip(vs, packed):
             e[v] = k
-        if field.kind is FieldKind.GAUSSIAN_RATIONAL:
-            terms[tuple(e)] = field.from_pair(*parts)
-        else:
-            terms[tuple(e)] = Scalar(field, parts[0])
+        terms[tuple(e)] = lift(*parts)
     g = Polynomial._raw(field, a.nvars, terms)
     try:
         qa = exact_div(a, g)
@@ -1234,36 +1238,21 @@ def parse_scalar(text, field):
     return p.constant_term()
 
 
-def _coeff_sign_split(c):
-    # (negative, magnitude, needs_parens)
-    if c.field.kind is FieldKind.RATIONAL:
-        return c.value < 0, -c if c.value < 0 else c, False
-    if c.field.kind is FieldKind.GAUSSIAN_RATIONAL:
-        re, im = c.value
-        if not im:
-            return re < 0, -c if re < 0 else c, False
-        if not re:
-            return im < 0, -c if im < 0 else c, False
-        return False, c, True
-    return False, c, False
-
-
 def poly_str(p, offset=0):
     if p.is_zero:
         return "0"
     pieces = []
-    for exps in sorted(p.terms, key=grevlex_key, reverse=True):
+    for exps in sorted(p.terms, key=_heap_key):
         c = p.terms[exps]
         mono = "*".join(
             f"x{v + offset}" if k == 1 else f"x{v + offset}^{k}"
             for v, k in enumerate(exps)
             if k
         )
-        neg, mag, parens = _coeff_sign_split(c)
-        if mono and mag == 1:
+        neg, cs = c._sign_split()
+        if mono and cs == "1":
             body = mono
         else:
-            cs = f"({mag})" if parens else str(mag)
             body = f"{cs}*{mono}" if mono else cs
         pieces.append(("-" if neg else "+", body))
     sign, body = pieces[0]

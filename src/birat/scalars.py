@@ -352,14 +352,7 @@ class Scalar:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _square_and_multiply(self, n, self.field.one())
 
     def conjugate(self):
         """Complex conjugate; the identity on Q and F_p."""
@@ -403,8 +396,37 @@ class Scalar:
             return f"{re}+{istr}" if im > 0 else f"{re}{istr}"
         return str(self.value)
 
+    def _sign_split(self):
+        """(negative, text): a sum prints this coefficient as its sign, then text.
+
+        text is that of -self where negative, and parenthesised where self
+        has both a real and an imaginary part; it is "1" only for 1.
+        """
+        k = self.field.kind
+        if k is FieldKind.RATIONAL:
+            v = self.value
+            return (True, str(-v)) if v < 0 else (False, str(v))
+        if k is FieldKind.GAUSSIAN_RATIONAL:
+            re, im = self.value
+            if re and im:
+                return False, f"({self})"
+            if (re or im) < 0:
+                return True, str(-self)
+        return False, str(self)
+
     def __repr__(self):
         return f"Scalar({self.field}, {self})"
+
+
+def _square_and_multiply(base, n, one):
+    """base**n for an int n >= 0, with one the neutral element of base's *."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 class AutoKind(enum.Enum):

@@ -451,6 +451,21 @@ def test_gcd_drops_an_unlucky_prime(monkeypatch):
     assert images[-1][0] != first and images[-1][1] == 1
 
 
+@pytest.mark.parametrize("cleared", [False, True], ids=["p*x0+1", "x0+1/p"])
+@pytest.mark.parametrize("field", [QQ, QI], ids=str)
+def test_certificate_skips_a_prime_that_drops_a_leading_monomial(field, cleared):
+    # mod the first prime tried, p*x0 + 1 is 1 and the two images are
+    # coprime; x0 + 1/p encodes to p*x0 + 1 once its denominator is cleared
+    p = next(_modular._word_primes(field is QI))
+    x = Polynomial.variable(field, 1, 0)
+    g = x + field.from_fraction(1, p) if cleared else x * p + 1
+    a = g * (x + 2)
+    b = g * (x + 3)
+    assert not poly._coprime_certificate(a, b)
+    assert poly._gcd_rec(a, b).monic() == g.monic()
+    assert poly_gcd(a, b) == g.monic()
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=str)
 def test_gcd_prs_fallback_on_small_fields(monkeypatch, field):
     brown = _spy(monkeypatch, _modular, "_brown")

@@ -1,5 +1,7 @@
 """Tests for exact field arithmetic and field automorphisms."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -167,3 +169,37 @@ def test_parse_scalar():
 @given(fields.flatmap(any_scalar))
 def test_str_round_trip(a):
     assert parse_scalar(str(a), a.field) == a
+
+
+def _payload_reads(tree):
+    """Lines that read Scalar.value or call Scalar(...) directly."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "value" and id(node) not in called:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "Scalar") or (
+                isinstance(f, ast.Attribute) and f.attr == "Scalar"
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_payload_reads_catch_attribute_reads_and_construction():
+    tree = ast.parse("a = c.value\nb = nu.value(s)\nd = Scalar(f, 1)\ne = scalars.Scalar(f, 2)\n")
+    assert _payload_reads(tree) == [1, 3, 4]
+
+
+def test_only_scalars_reads_the_payload():
+    # every other module goes through FieldSpec and Scalar's methods, so the
+    # payload's encoding lives in one file
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "birat"
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name != "scalars.py":
+            lines = _payload_reads(ast.parse(path.read_text(), str(path)))
+            if lines:
+                found[path.name] = lines
+    assert found == {}
