@@ -2,11 +2,12 @@
 
 Everything here works on plain ints mod p: dense univariate lists (low
 degree first, no trailing zeros) and sparse dicts {exponent tuple: residue}.
-poly.py encodes each operand once (FieldSpec._encode: residues over F_p,
-integers over Q, Gaussian integers over Q(i), over one denominator), takes
-its images here under the ring maps of _embeddings, runs the certificate
-and Brown's dense modular gcd (J. ACM 18, 1971) on them, and lifts the
-result back.  A prime is used only where both images keep their leading
+poly._gcd_pair encodes each operand once (FieldSpec._encode: residues over
+F_p, integers over Q, Gaussian integers over Q(i), over one denominator) and
+takes its images here under the ring maps of _embeddings.  The certificate
+runs _degree_bounds on the first image; the same encodings and bounds then
+feed Brown's dense modular gcd (J. ACM 18, 1971), whose result poly.py
+lifts back.  A prime is used only where both images keep their leading
 monomial.  The names stay private, so a traced run charges this work to the
 gcd's own span.
 """

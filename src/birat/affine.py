@@ -164,7 +164,7 @@ def permutation_auto(field, perm):
     return PolyAuto(fwd, inv)
 
 
-def _linear_components(field, m, shift=None):
+def _linear_components(field, m, shift):
     d = len(m)
     comps = []
     for i in range(d):
@@ -172,19 +172,14 @@ def _linear_components(field, m, shift=None):
         for j in range(d):
             if m[i][j]:
                 p = p + Polynomial.variable(field, d, j) * m[i][j]
-        if shift is not None and shift[i]:
+        if shift[i]:
             p = p + shift[i]
         comps.append(p)
     return comps
 
 
 def linear_auto(field, rows):
-    m = matrices.from_rows(field, rows)
-    try:
-        m_inv = matrices.inv(m)
-    except SingularMatrixError:
-        raise SingularLinearPartError("linear part is singular") from None
-    return PolyAuto(_linear_components(field, m), _linear_components(field, m_inv))
+    return affine_auto(field, rows, [0] * len(rows))
 
 
 def affine_auto(field, rows, shift):

@@ -544,26 +544,31 @@ def _encoded(a, vs):
     return raw, den, pack(a.leading_term()[0])
 
 
-def _coprime_certificate(a, b):
-    """True only when the gcd is certainly constant; False means undecided.
+def _certificate(a, b):
+    """(vs, a's and b's encodings, degree bounds of their gcd in vs).
 
-    Runs _degree_bounds on the images under the field's first ring map that
-    keeps both leading monomials; points come from a fixed seed, so the
-    outcome is reproducible.  A map that drops a leading monomial, as
-    reducing (p*x + 1)*(x + 2) mod p does, could hide a common factor.
+    a and b are not both constant, and vs are the variables they use.  The
+    bounds come from _degree_bounds, two attempts, on the images under the
+    field's first ring map that keeps both leading monomials; points come
+    from a fixed seed, so the outcome is reproducible.  A map that drops a
+    leading monomial, as reducing (p*x + 1)*(x + 2) mod p does, could hide
+    a common factor.  All bounds zero certify the gcd constant.
     """
     vs = sorted(a.support_vars() | b.support_vars())
-    if not vs:
-        return True
-    ra, _, lma = _encoded(a, vs)
-    rb, _, lmb = _encoded(b, vs)
+    ea, eb = _encoded(a, vs), _encoded(b, vs)
+    (ra, _, lma), (rb, _, lmb) = ea, eb
     for p, roots in _modular._embeddings(a.field):
         A = _modular._image(ra, p, roots[0])
         B = _modular._image(rb, p, roots[0])
         if lma in A and lmb in B:
             break
     bounds = _modular._degree_bounds(A, B, len(vs), p, random.Random(_CERT_SEED), 2)
-    return not any(bounds)
+    return vs, ea, eb, bounds
+
+
+def _coprime_certificate(a, b):
+    """True only when the gcd is certainly constant; False means undecided."""
+    return not any(_certificate(a, b)[3])
 
 
 def _coefficient_bits(field, raw, den):
@@ -583,12 +588,12 @@ def _few_points(field, degree):
     return field.kind is FieldKind.PRIME_FIELD and field.modulus <= 4 * (degree + 1)
 
 
-def _gcd_modular(a, b):
+def _gcd_modular(a, b, vs, ea, eb, bounds):
     """gcd of a and b by images mod primes, or None to hand over to the PRS.
 
-    a and b are nonzero, nonconstant and free of monomial factors.  The first
-    image bounds the gcd's degree in every variable and may certify it
-    constant.  Otherwise Brown's method gives monic images mod primes that
+    a and b are nonconstant and free of monomial factors; vs, their
+    encodings ea, eb and the degree bounds, not all zero, are _certificate's.
+    Brown's method, within those bounds, gives monic images mod primes that
     keep both leading coefficients; over Q they are combined by CRT and
     rational reconstruction, over Q(i) the two images of i -> +-sqrt(-1)
     give real and imaginary parts first, and over a large F_p one image is
@@ -599,18 +604,15 @@ def _gcd_modular(a, b):
     kind = field.kind
     if _few_points(field, max(a.total_degree, b.total_degree)):
         return None
-    vs = sorted(a.support_vars() | b.support_vars())
-    ra, da, lma = _encoded(a, vs)
-    rb, db, lmb = _encoded(b, vs)
+    (ra, _, lma), (rb, _, lmb) = ea, eb
     # Mignotte: the gcd's cleared coefficients have at most gbits bits
     gbits = min(
         _coefficient_bits(field, r, d) + sum(x.degree_in(v) for v in vs) + len(x.terms).bit_length()
-        for x, r, d in ((a, ra, da), (b, rb, db))
+        for x, (r, d, _) in ((a, ea), (b, eb))
     )
     spread = 4 if kind is FieldKind.GAUSSIAN_RATIONAL else 2
     budget = (spread * gbits + 3) // 30 + 4
     rng = random.Random(_CERT_SEED)
-    bounds = None
     lead = acc = cand = None
     modulus = 1
     for p, roots in itertools.islice(_modular._embeddings(field), budget):
@@ -620,10 +622,6 @@ def _gcd_modular(a, b):
             B = _modular._image(rb, p, root)
             if lma not in A or lmb not in B:
                 break
-            if bounds is None:
-                bounds = _modular._degree_bounds(A, B, len(vs), p, rng, 1)
-                if not any(bounds):
-                    return Polynomial.one(field, a.nvars)
             g = _modular._brown(A, B, bounds, p, rng)
             if g is None:
                 break
@@ -704,7 +702,7 @@ def _content_in(p, v):
     for q in coeffs[1:]:
         if g.is_constant:
             break
-        g = _gcd_rec(g, q)
+        g = _gcd_pair(g, q)
     return g.monic()
 
 
@@ -727,56 +725,65 @@ def _prem(f, g, v):
 
 
 def _gcd_rec(a, b):
-    # both nonzero; result is a gcd up to a scalar factor
-    ma, ra = a.split_monomial_content()
-    mb, rb = b.split_monomial_content()
-    m = tuple(min(x, y) for x, y in zip(ma, mb))
-    vs = ra.support_vars() | rb.support_vars()
-    if (
-        not vs
-        or ra.is_constant
-        or rb.is_constant
-        or _coprime_certificate(ra, rb)
-    ):
-        core = Polynomial.one(a.field, a.nvars)
-    else:
-        v = max(vs)
-        da = ra.degree_in(v)
-        db = rb.degree_in(v)
-        if da == 0:
-            core = _gcd_rec(ra, _content_in(rb, v))
-        elif db == 0:
-            core = _gcd_rec(_content_in(ra, v), rb)
-        else:
-            cont_a = _content_in(ra, v)
-            cont_b = _content_in(rb, v)
-            c = _gcd_rec(cont_a, cont_b)
-            pa = exact_div(ra, cont_a)
-            pb = exact_div(rb, cont_b)
-            f, g = (pa, pb) if da >= db else (pb, pa)
-            while True:
-                r = _prem(f, g, v)
-                if r.is_zero:
-                    core = c * g
-                    break
-                if r.degree_in(v) == 0:
-                    core = c
-                    break
-                f, g = g, exact_div(r, _content_in(r, v)).monic()
-    if any(m):
-        core = core * Polynomial.monomial(a.field, a.nvars, m)
-    return core
+    """A gcd of a and b, up to a scalar factor, by the normalized PRS.
+
+    a and b are nonconstant and free of monomial factors.  The PRS runs in
+    their last variable; the gcds of the contents go back through _gcd_pair.
+    """
+    v = max(a.support_vars() | b.support_vars())
+    da = a.degree_in(v)
+    db = b.degree_in(v)
+    if da == 0:
+        return _gcd_pair(a, _content_in(b, v))
+    if db == 0:
+        return _gcd_pair(_content_in(a, v), b)
+    cont_a = _content_in(a, v)
+    cont_b = _content_in(b, v)
+    c = _gcd_pair(cont_a, cont_b)
+    f = exact_div(a, cont_a)
+    g = exact_div(b, cont_b)
+    if da < db:
+        f, g = g, f
+    while True:
+        r = _prem(f, g, v)
+        if r.is_zero:
+            return c * g
+        if r.degree_in(v) == 0:
+            return c
+        f, g = g, exact_div(r, _content_in(r, v)).monic()
 
 
 # ---------------------------------------------------------------------------
 # the gcd entry points
 
 
+def _gcd_pair(a, b):
+    """A gcd of nonzero a and b, up to a scalar factor.
+
+    The one pair routine: the monomial content is split off, the certificate
+    bounds the gcd's degree in each variable on one image, Brown's method
+    runs within those bounds, and the normalized PRS takes over where it
+    gives up.
+    """
+    ma, a = a.split_monomial_content()
+    mb, b = b.split_monomial_content()
+    core = Polynomial.one(a.field, a.nvars)
+    if not (a.is_constant or b.is_constant):
+        vs, ea, eb, bounds = _certificate(a, b)
+        if any(bounds):
+            core = _gcd_modular(a, b, vs, ea, eb, bounds)
+            if core is None:
+                core = _gcd_rec(a, b)
+    m = tuple(map(min, ma, mb))
+    if any(m):
+        core = core * Polynomial.monomial(a.field, a.nvars, m)
+    return core
+
+
 def poly_gcd(a, b):
     """Greatest common divisor, normalized to grevlex leading coefficient 1.
 
-    The two-element case of poly_gcd_list: monomial content split off, then
-    the modular route, verified, with the normalized PRS as its fallback.
+    The two-element case of poly_gcd_list; _gcd_pair does the work.
     """
     a._check_compatible(b)
     if a.is_zero and b.is_zero:
@@ -785,18 +792,7 @@ def poly_gcd(a, b):
         return b.monic()
     if b.is_zero:
         return a.monic()
-    ma, ra = a.split_monomial_content()
-    mb, rb = b.split_monomial_content()
-    if ra.is_constant or rb.is_constant:
-        core = Polynomial.one(a.field, a.nvars)
-    else:
-        core = _gcd_modular(ra, rb)
-        if core is None:
-            core = _gcd_rec(ra, rb)
-    m = tuple(min(x, y) for x, y in zip(ma, mb))
-    if any(m):
-        core = core * Polynomial.monomial(a.field, a.nvars, m)
-    return core.monic()
+    return _gcd_pair(a, b).monic()
 
 
 _COMBINATION_TRIES = 3
@@ -848,14 +844,12 @@ def _gcd_cofactors(ps):
             return g, [exact_div(p, g) if p else p for p in ps]
         except InexactDivisionError:
             continue
-    if len(rest) < 2:
-        g = poly_gcd(head, rest[0]) if rest else head.monic()
-    else:
-        g = head.monic()
-        for p in rest:
-            if g.is_constant:
-                break
-            g = poly_gcd(g, p)
+    g = head
+    for p in rest:
+        if g.is_constant:
+            break
+        g = poly_gcd(g, p)
+    g = g.monic()
     if g.is_constant:
         return g, ps
     return g, [exact_div(p, g) if p else p for p in ps]
@@ -864,7 +858,7 @@ def _gcd_cofactors(ps):
 def poly_lcm(a, b):
     if a.is_zero or b.is_zero:
         raise PreconditionError("lcm with a zero polynomial")
-    return exact_div(a * b, poly_gcd(a, b)).monic()
+    return (a * exact_div(b, poly_gcd(a, b))).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -910,10 +904,7 @@ class RationalFunction:
             den = Polynomial.one(num.field, num.nvars)
         else:
             if not (num.is_constant or den.is_constant):
-                g = poly_gcd(num, den)
-                if not g.is_constant:
-                    num = exact_div(num, g)
-                    den = exact_div(den, g)
+                _, (num, den) = _gcd_cofactors([num, den])
             lc = den.leading_coefficient()
             if lc != 1:
                 inv = lc.inverse()

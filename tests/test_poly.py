@@ -477,6 +477,21 @@ def test_gcd_prs_fallback_on_small_fields(monkeypatch, field):
     assert prs and brown == []
 
 
+@pytest.mark.parametrize("field", [QQ, QI, GF(101)], ids=str)
+def test_gcd_prs_fallback_on_large_fields(monkeypatch, field):
+    # the modular route gives up everywhere: the PRS decides, and the gcd of
+    # the contents in x2 (x1 + 2 and a multiple of it) recurses through it
+    monkeypatch.setattr(poly, "_gcd_modular", lambda *args: None)
+    brown = _spy(monkeypatch, _modular, "_brown")
+    prs = _spy(monkeypatch, poly, "_gcd_rec")
+    unit = "i" if field is QI else "1"
+    g = parse_poly(f"x0*(x1 + 2)*(x2^2 + x0*x1 + 3*{unit})", field, 3)
+    a = g * parse_poly("x0 - x1 + 5", field, 3)
+    b = g * parse_poly("x1*x2 + x0 + 1", field, 3)
+    assert poly_gcd(a, b) == g.monic()
+    assert len(prs) > 1 and brown == []
+
+
 def test_gcd_list_over_a_small_field_runs_the_pairwise_chain(monkeypatch):
     # over F_2 every combination of the last two members would be their
     # sum, g*x0, whose gcd with the first member does not divide g*x1
