@@ -96,13 +96,29 @@ def _u_content(fs, p):
     return g
 
 
+# the word-size primes found so far, largest first, per value of one_mod_four
+_WORD_PRIMES = {False: [], True: []}
+
+
 def _word_primes(one_mod_four):
-    """Primes below 2**31, largest first; only p = 1 (mod 4) if asked."""
-    n = (1 << 31) - 1
-    while n > 2:
-        if (not one_mod_four or n % 4 == 1) and _is_prime(n):
-            yield n
-        n -= 2
+    """Primes below 2**31, largest first; only p = 1 (mod 4) if asked.
+
+    The scan goes down from 2**31 - 1 and keeps what it finds in
+    _WORD_PRIMES, so each prime is proven once per process, and a later
+    generator reads the list before it scans on from its last entry.
+    """
+    found = _WORD_PRIMES[one_mod_four]
+    k = 0
+    while True:
+        if k == len(found):
+            n = found[-1] - 2 if found else (1 << 31) - 1
+            while not ((not one_mod_four or n % 4 == 1) and _is_prime(n)):
+                n -= 2
+                if n <= 2:
+                    return
+            found.append(n)
+        yield found[k]
+        k += 1
 
 
 def _sqrt_minus_one(p):

@@ -116,7 +116,7 @@ def _eliminate(field, rows, pivot_cols, reduced):
     identity, and so every other column c into pivot * inverse * c.
     """
     n = len(rows)
-    prev = field._encode([field.one()], 1)[0]
+    prev = field._raw_int(1)
     r = swaps = 0
     for c in range(pivot_cols):
         pivot = next((i for i in range(r, n) if rows[i][c]), None)

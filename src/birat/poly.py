@@ -14,6 +14,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import re
+from operator import add, sub
 
 from . import _kernels, _modular
 from .errors import (
@@ -476,6 +478,16 @@ def exact_div(a, b):
     The remainder's monomials wait in a heap, so each quotient term costs
     one pop and the updates of its product with b (Monagan and Pearce, J.
     Symb. Comp. 46, 2011, keep products in the heap instead).
+
+    The loop runs on raw values.  Over F_p they are residues, and each
+    quotient term is a product with the inverse of lc(b).  Over Q and Q(i)
+    each operand is encoded over its own denominator and divided by its
+    content, which leaves primitive polynomials a' and b' over Z or Z[i].
+    By Gauss's lemma a quotient of a' by the primitive b', if exact, has
+    coefficients in Z or Z[i] as well; so each quotient term is an exact
+    division by lc(b') there, and one that leaves a remainder proves the
+    division inexact.  With a = ca*a'/da and b = cb*b'/db, the quotient
+    a'/b' is decoded once, over (da*cb)/(db*ca).
     """
     a._check_compatible(b)
     if b.is_zero:
@@ -484,37 +496,55 @@ def exact_div(a, b):
         return a
     if b.is_constant:
         return a * b.constant_term().inverse()
-    lt_e, lt_c = b.leading_term()
-    lt_c_inv = lt_c.inverse()
-    tail = [(e, -c) for e, c in b.terms.items() if e != lt_e]
-    rem = dict(a.terms)
+    field = a.field
+    rem, da, ca = _primitive_terms(field, a.terms)
+    rb, db, cb = _primitive_terms(field, b.terms)
+    lt_e = b.leading_term()[0]
+    quotient = field._divider(rb[lt_e], check=True)
+    tail = [(e, -c) for e, c in rb.items() if e != lt_e]
     heap = [(_heap_key(e), e) for e in rem]
     heapq.heapify(heap)
     quo = {}
+    # every product term lies below the popped monomial, so each monomial
+    # enters the heap once and leaves it once; a cancelled one leaves as 0
     while heap:
         e = heapq.heappop(heap)[1]
-        c = rem.pop(e, None)
-        if c is None:
-            continue  # cancelled since it was pushed
-        d = tuple(x - y for x, y in zip(e, lt_e))
-        if any(x < 0 for x in d):
+        q = quotient(rem.pop(e))
+        if q is None:
             raise InexactDivisionError("division leaves a nonzero remainder")
-        q = c * lt_c_inv
+        if not q:
+            continue
+        d = tuple(map(sub, e, lt_e))
+        if min(d) < 0:
+            raise InexactDivisionError("division leaves a nonzero remainder")
         quo[d] = q
-        # every product term lies below e, so no popped monomial comes back
-        for eb, cb in tail:
-            k = tuple(x + y for x, y in zip(d, eb))
+        for eb, x in tail:
+            k = tuple(map(add, d, eb))
             prev = rem.get(k)
             if prev is None:
-                rem[k] = q * cb
+                rem[k] = q * x
                 heapq.heappush(heap, (_heap_key(k), k))
             else:
-                s = prev + q * cb
-                if s:
-                    rem[k] = s
-                else:
-                    del rem[k]
-    return Polynomial._raw(a.field, a.nvars, quo)
+                rem[k] = prev + q * x
+    num = ca * field._raw_int(db)
+    if num != 1:
+        quo = {e: q * num for e, q in quo.items()}
+    return Polynomial._raw(field, a.nvars, _decode_terms(field, quo, cb * field._raw_int(da)))
+
+
+def _primitive_terms(field, terms):
+    """(raw, den, content): terms = content * raw / den, raw primitive.
+
+    raw is den * terms, encoded (FieldSpec._encode), over the least common
+    denominator den, and divided by its content (FieldSpec._content).
+    """
+    den = field._den(terms.values())
+    raw = _encode_terms(field, terms, den)
+    c = field._content(raw.values())
+    if c != 1:
+        div = field._divider(c)
+        raw = {e: div(r) for e, r in raw.items()}
+    return raw, den, c
 
 
 def divides(b, a):
@@ -589,7 +619,7 @@ def _few_points(field, degree):
 
 
 def _gcd_modular(a, b, vs, ea, eb, bounds):
-    """gcd of a and b by images mod primes, or None to hand over to the PRS.
+    """(g, a/g, b/g), g the gcd by images mod primes, or None for the PRS.
 
     a and b are nonconstant and free of monomial factors; vs, their
     encodings ea, eb and the degree bounds, not all zero, are _certificate's.
@@ -598,7 +628,8 @@ def _gcd_modular(a, b, vs, ea, eb, bounds):
     rational reconstruction, over Q(i) the two images of i -> +-sqrt(-1)
     give real and imaginary parts first, and over a large F_p one image is
     the candidate.  A candidate stable under one more prime is accepted once
-    it divides a and b and leaves certified coprime cofactors.
+    it divides a and b and leaves certified coprime cofactors, which are
+    returned with it.
     """
     field = a.field
     kind = field.kind
@@ -626,7 +657,7 @@ def _gcd_modular(a, b, vs, ea, eb, bounds):
             if g is None:
                 break
             if len(g) == 1 and not any(next(iter(g))):
-                return Polynomial.one(field, a.nvars)
+                return Polynomial.one(field, a.nvars), a, b
             lm = max(g, key=grevlex_key)
             inv = pow(g[lm], -1, p)
             images.append({e: c * inv % p for e, c in g.items()})
@@ -648,16 +679,16 @@ def _gcd_modular(a, b, vs, ea, eb, bounds):
                 if new is None or new != cand:
                     cand = new
                     continue
-            g = _verified(a, b, new, vs)
-            if g is not None:
-                return g
+            found = _verified(a, b, new, vs)
+            if found is not None:
+                return found
             lead = acc = cand = None
             modulus = 1
     return None
 
 
 def _verified(a, b, coeffs, vs):
-    """The candidate as a Polynomial if it is the gcd of a and b, else None."""
+    """(g, a/g, b/g) if the candidate g is the gcd of a and b, else None."""
     field = a.field
     lift = field.from_pair if field.kind is FieldKind.GAUSSIAN_RATIONAL else field.from_fraction
     terms = {}
@@ -673,7 +704,7 @@ def _verified(a, b, coeffs, vs):
     except InexactDivisionError:
         return None
     if qa.is_constant or qb.is_constant or _coprime_certificate(qa, qb):
-        return g
+        return g, qa, qb
     return None
 
 
@@ -702,7 +733,7 @@ def _content_in(p, v):
     for q in coeffs[1:]:
         if g.is_constant:
             break
-        g = _gcd_pair(g, q)
+        g = _gcd_pair(g, q)[0]
     return g.monic()
 
 
@@ -734,12 +765,12 @@ def _gcd_rec(a, b):
     da = a.degree_in(v)
     db = b.degree_in(v)
     if da == 0:
-        return _gcd_pair(a, _content_in(b, v))
+        return _gcd_pair(a, _content_in(b, v))[0]
     if db == 0:
-        return _gcd_pair(_content_in(a, v), b)
+        return _gcd_pair(_content_in(a, v), b)[0]
     cont_a = _content_in(a, v)
     cont_b = _content_in(b, v)
-    c = _gcd_pair(cont_a, cont_b)
+    c = _gcd_pair(cont_a, cont_b)[0]
     f = exact_div(a, cont_a)
     g = exact_div(b, cont_b)
     if da < db:
@@ -758,26 +789,30 @@ def _gcd_rec(a, b):
 
 
 def _gcd_pair(a, b):
-    """A gcd of nonzero a and b, up to a scalar factor.
+    """(g, a/g, b/g): a gcd g of nonzero a and b, up to a scalar factor.
 
     The one pair routine: the monomial content is split off, the certificate
     bounds the gcd's degree in each variable on one image, Brown's method
     runs within those bounds, and the normalized PRS takes over where it
-    gives up.
+    gives up.  The quotients are those that verified g, or a and b where g
+    is 1; after the PRS they are unknown, and None.
     """
-    ma, a = a.split_monomial_content()
-    mb, b = b.split_monomial_content()
-    core = Polynomial.one(a.field, a.nvars)
-    if not (a.is_constant or b.is_constant):
-        vs, ea, eb, bounds = _certificate(a, b)
+    ma, pa = a.split_monomial_content()
+    mb, pb = b.split_monomial_content()
+    g, qa, qb = Polynomial.one(a.field, a.nvars), pa, pb
+    if not (pa.is_constant or pb.is_constant):
+        vs, ea, eb, bounds = _certificate(pa, pb)
         if any(bounds):
-            core = _gcd_modular(a, b, vs, ea, eb, bounds)
-            if core is None:
-                core = _gcd_rec(a, b)
+            found = _gcd_modular(pa, pb, vs, ea, eb, bounds)
+            g, qa, qb = found if found is not None else (_gcd_rec(pa, pb), None, None)
     m = tuple(map(min, ma, mb))
-    if any(m):
-        core = core * Polynomial.monomial(a.field, a.nvars, m)
-    return core
+    if not any(m) and qa is pa:
+        return g, a, b  # g is 1: a and b are their own quotients
+    shifts = m, tuple(map(sub, ma, m)), tuple(map(sub, mb, m))
+    return tuple(
+        q * Polynomial.monomial(q.field, q.nvars, e) if q is not None and any(e) else q
+        for q, e in zip((g, qa, qb), shifts)
+    )
 
 
 def poly_gcd(a, b):
@@ -792,7 +827,7 @@ def poly_gcd(a, b):
         return b.monic()
     if b.is_zero:
         return a.monic()
-    return _gcd_pair(a, b).monic()
+    return _gcd_pair(a, b)[0].monic()
 
 
 _COMBINATION_TRIES = 3
@@ -813,27 +848,35 @@ def poly_gcd_list(ps):
 def _gcd_cofactors(ps):
     """poly_gcd_list(ps) and every member divided by it, in the order given.
 
-    Where dividing the members verified the gcd, those quotients are kept,
-    so no member is divided twice.
+    A family of two nonzero members, as every fraction is, takes its gcd
+    and both quotients from _gcd_pair, which returns the quotients that
+    verified the gcd; they are scaled for the monic gcd, and a member is
+    divided only where its quotient is unknown, after the PRS.  A larger
+    family goes through poly_gcd, once per random combination or link of
+    the chain, and dividing its members by the result checks it.
     """
     ps = list(ps)
-    order = sorted((p for p in ps if not p.is_zero), key=lambda p: (p.total_degree, len(p.terms)))
+    order = sorted(
+        (k for k, p in enumerate(ps) if not p.is_zero),
+        key=lambda k: (ps[k].total_degree, len(ps[k].terms)),
+    )
     if not order:
         raise PreconditionError("gcd of an all-zero family")
-    head, rest = order[0], order[1:]
+    if len(order) == 2:
+        return _pair_cofactors(ps, *order)
+    head, rest = ps[order[0]], [ps[k] for k in order[1:]]
     field = head.field
     top = field.modulus if field.kind is FieldKind.PRIME_FIELD else 1 << 16
-    chain = len(rest) < 2 or _few_points(field, order[-1].total_degree)
+    chain = len(rest) < 2 or _few_points(field, rest[-1].total_degree)
     rng = random.Random(_CERT_SEED + 1)
     if not chain:
         den = field._den([c for p in rest for c in p.terms.values()])
         raws = [_encode_terms(field, p.terms, den) for p in rest]
-        _, add, scale = _raw_kernels(field)
+        _, add_raw, scale = _raw_kernels(field)
     for _ in range(0 if chain else _COMBINATION_TRIES):
         mix = {}
         for raw in raws:
-            k = field._encode([field.from_int(rng.randrange(1, top))], 1)[0]
-            mix = add(mix, scale(raw, k))
+            mix = add_raw(mix, scale(raw, field._raw_int(rng.randrange(1, top))))
         if not mix:
             continue
         mix = Polynomial._raw(field, head.nvars, _decode_terms(field, mix, den))
@@ -853,6 +896,22 @@ def _gcd_cofactors(ps):
     if g.is_constant:
         return g, ps
     return g, [exact_div(p, g) if p else p for p in ps]
+
+
+def _pair_cofactors(ps, i, j):
+    # _gcd_cofactors of a family whose nonzero members are ps[i] and ps[j]
+    quos = [None] * len(ps)
+    g, quos[i], quos[j] = _gcd_pair(ps[i], ps[j])
+    if g.is_constant:
+        return g.monic(), ps
+    lc = g.leading_coefficient()
+    if lc != 1:
+        g = g * lc.inverse()
+        quos = [q if q is None else q * lc for q in quos]
+    for k, p in enumerate(ps):
+        if quos[k] is None:
+            quos[k] = exact_div(p, g) if p else p
+    return g, quos
 
 
 def poly_lcm(a, b):
@@ -1060,41 +1119,28 @@ def split_group(text, sep):
     return parts
 
 
-_SYMBOLS = set("+-*/^()")
+# one token per match, after optional whitespace: an integer literal, a
+# variable, a symbol, the literal i, or any other character (an error)
+_TOKEN = re.compile(r"\s*(?:(\d+)|x(\d+)|([-+*/^()])|(i)|(\S))")
 
 
 def _tokenize(text):
     tokens = []
-    k = 0
-    n = len(text)
-    while k < n:
-        ch = text[k]
-        if ch.isspace():
-            k += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, None))
-            k += 1
-            continue
-        if ch.isdigit():
-            j = k
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[k:j])))
-            k = j
-            continue
-        if ch == "x" and k + 1 < n and text[k + 1].isdigit():
-            j = k + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("var", int(text[k + 1 : j])))
-            k = j
-            continue
-        if ch == "i":
-            tokens.append(("imag", None))
-            k += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} in {text!r}")
+    try:
+        for literal, var, symbol, imag, other in _TOKEN.findall(text):
+            if literal:
+                tokens.append(("int", int(literal)))
+            elif var:
+                tokens.append(("var", int(var)))
+            elif symbol:
+                tokens.append((symbol, None))
+            elif imag:
+                tokens.append(("imag", None))
+            else:
+                raise ParseError(f"unexpected character {other!r} in {text!r}")
+    except ValueError:
+        # int() refuses literals past sys.get_int_max_str_digits() digits
+        raise ParseError("integer literal too long") from None
     return tokens
 
 
@@ -1103,7 +1149,9 @@ class _PolyParser:
 
     A term is read as a coefficient, an exponent vector and the product of
     its nonconstant parenthesised factors, if any; only those cost
-    polynomial products.
+    polynomial products.  The term's integer literals multiply into an int
+    numerator and denominator, which become one Scalar per term; only i
+    and parenthesised constants cost Scalar arithmetic.
     """
 
     def __init__(self, tokens, field, nvars, offset):
@@ -1112,6 +1160,7 @@ class _PolyParser:
         self.field = field
         self.nvars = nvars
         self.offset = offset
+        self.modulus = field.modulus if field.kind is FieldKind.PRIME_FIELD else None
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -1135,9 +1184,7 @@ class _PolyParser:
             sign = -1 if kind == "-" else 1
         terms = {}
         while True:
-            c, exps, group = self.term()
-            if sign < 0:
-                c = -c
+            c, exps, group = self.term(sign)
             if group is None:
                 _fold(terms, tuple(exps), c)
             elif c:
@@ -1149,28 +1196,34 @@ class _PolyParser:
             self.take()
             sign = -1 if kind == "-" else 1
 
-    def term(self):
-        c = None
+    def term(self, sign):
+        num, den = sign, 1
+        c = None  # the product of i and the constant groups
         exps = [0] * self.nvars
         group = None
         divide = False
         while True:
             f = self.factor()
-            if divide:
-                if isinstance(f, tuple):
-                    if f[1]:
-                        raise ParseError("division only by constants")
-                    f = self.field.one()
-                elif isinstance(f, Polynomial):
-                    raise ParseError("division only by constants")
-                elif not f:
+            if isinstance(f, int):
+                if not divide:
+                    num *= f
+                elif not f or (self.modulus and not f % self.modulus):
                     raise ParseError("division by zero in literal")
-                f = f.inverse()
-            if isinstance(f, tuple):
+                else:
+                    den *= f
+            elif isinstance(f, tuple):
+                if divide and f[1]:
+                    raise ParseError("division only by constants")
                 exps[f[0]] += f[1]
             elif isinstance(f, Polynomial):
+                if divide:
+                    raise ParseError("division only by constants")
                 group = f if group is None else group * f
             else:
+                if divide:
+                    if not f:
+                        raise ParseError("division by zero in literal")
+                    f = f.inverse()
                 c = f if c is None else c * f
             kind, _ = self.peek()
             if kind in ("*", "/"):
@@ -1179,10 +1232,12 @@ class _PolyParser:
             elif kind in ("int", "var", "imag", "("):
                 divide = False
             else:
-                return (self.field.one() if c is None else c), exps, group
+                lit = self.field.from_fraction(num, den)
+                return (lit if c is None else lit * c), exps, group
 
     def factor(self):
-        # a Scalar, a variable power (slot, k) or a nonconstant Polynomial
+        # an int literal, a Scalar, a variable power (slot, k) or a
+        # nonconstant Polynomial
         f = self.atom()
         kind, _ = self.peek()
         if kind == "^":
@@ -1190,13 +1245,18 @@ class _PolyParser:
             ekind, k = self.take()
             if ekind != "int":
                 raise ParseError("exponent must be an integer literal")
-            f = (f[0], k) if isinstance(f, tuple) else f**k
+            if isinstance(f, tuple):
+                f = (f[0], k)
+            elif isinstance(f, int):
+                f = pow(f, k, self.modulus) if self.modulus else f**k
+            else:
+                f = f**k
         return f
 
     def atom(self):
         kind, val = self.take()
         if kind == "int":
-            return self.field.from_int(val)
+            return val
         if kind == "imag":
             if self.field.kind is not FieldKind.GAUSSIAN_RATIONAL:
                 raise ParseError("the literal i needs the field Qi")

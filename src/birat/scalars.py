@@ -117,7 +117,7 @@ class FieldSpec:
     # residues mod p over F_p (not always reduced inside a loop), integers
     # over Q and _GaussianInt over Q(i), the latter two standing for
     # themselves over a denominator that the loop keeps on the side.  Each
-    # has +, -, * and truthiness.
+    # has +, -, *, == and truthiness.
 
     def _den(self, scalars):
         """The least common denominator of the scalars; 1 over F_p."""
@@ -170,17 +170,60 @@ class FieldSpec:
             den = den.re * den.re + den.im * den.im
         return [Scalar(self, (Fraction(r.re, den), Fraction(r.im, den))) for r in raws]
 
-    def _divider(self, d):
+    def _raw_int(self, n):
+        """The raw value of the integer n."""
+        if self.kind is FieldKind.PRIME_FIELD:
+            return n % self.modulus
+        if self.kind is FieldKind.GAUSSIAN_RATIONAL:
+            return _GaussianInt(n, 0)
+        return n
+
+    def _content(self, raws):
+        """A gcd of the nonzero raw values in Z or Z[i]; 1 over F_p.
+
+        Over Q it is positive; over Q(i) it is 1 where the gcd is a unit.
+        """
+        if self.kind is FieldKind.RATIONAL:
+            return math.gcd(*raws)
+        if self.kind is FieldKind.PRIME_FIELD:
+            return 1
+        g = None
+        for r in raws:
+            g = r if g is None else _gaussian_gcd(g, r)
+            if g.re * g.re + g.im * g.im == 1:
+                return _GaussianInt(1, 0)
+        return g
+
+    def _divider(self, d, check=False):
         """A function dividing raw values by the nonzero raw value d.
 
-        Over Q and Q(i) the quotient must be exact; over F_p the result is
-        reduced.
+        Over F_p the result is reduced.  Over Q and Q(i) the quotient must
+        be exact, unless check is set: then the function returns None where
+        d does not divide the value in Z or Z[i].
         """
         if self.kind is FieldKind.PRIME_FIELD:
             p = self.modulus
             inv = pow(d, -1, p)
             return lambda v: v * inv % p
-        return lambda v: v // d
+        if not check:
+            return lambda v: v // d
+        if self.kind is FieldKind.RATIONAL:
+
+            def divide(v):
+                q, r = divmod(v, d)
+                return None if r else q
+
+            return divide
+        # v/d = v*conj(d)/N(d)
+        c, e = d.re, d.im
+        n = c * c + e * e
+
+        def divide_gaussian(v):
+            x, rx = divmod(v.re * c + v.im * e, n)
+            y, ry = divmod(v.im * c - v.re * e, n)
+            return None if rx or ry else _GaussianInt(x, y)
+
+        return divide_gaussian
 
     def __str__(self):
         if self.kind is FieldKind.PRIME_FIELD:
@@ -220,8 +263,29 @@ class _GaussianInt:
         n = c * c + d * d
         return _GaussianInt((a * c + b * d) // n, (b * c - a * d) // n)
 
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.re == other and not self.im
+        return self.re == other.re and self.im == other.im
+
     def __bool__(self):
         return bool(self.re or self.im)
+
+
+def _gaussian_gcd(x, y):
+    """A gcd of two Gaussian integers, by Euclid's algorithm.
+
+    Each quotient is x/y rounded to the nearest Gaussian integer, which
+    leaves a remainder of at most half the norm of y.
+    """
+    while y:
+        n = y.re * y.re + y.im * y.im
+        # x*conj(y) = a + b*i, and x/y = (a + b*i)/n
+        a = x.re * y.re + x.im * y.im
+        b = x.im * y.re - x.re * y.im
+        q = _GaussianInt((2 * a + n) // (2 * n), (2 * b + n) // (2 * n))
+        x, y = y, x - q * y
+    return x
 
 
 QQ = FieldSpec(FieldKind.RATIONAL)

@@ -48,6 +48,18 @@ def test_parse_error(capsys):
     assert err.startswith("PARSE_ERROR")
 
 
+@pytest.mark.parametrize("outer", [
+    "P^1: [x0^2 : " + "1" * 5000 + "*x1^2]",
+    "P^1: [x0^" + "9" * 5000 + " : x1]",
+], ids=["coefficient", "exponent"])
+def test_an_integer_literal_past_the_digit_limit_is_a_parse_error(capsys, outer):
+    # int() refuses more than 4300 digits with a ValueError, not a BiratError
+    code, out, err = run(capsys, "compose", outer, "P^1: [x0 : x1]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("PARSE_ERROR")
+
+
 def test_field_option(capsys):
     code, out, _ = run(capsys, "apply", "--field", "Fp:5", SIGMA, "[1:2:3]")
     assert code == 0

@@ -1,7 +1,9 @@
 """Tests for multivariate polynomials, gcds, and rational functions."""
 
 import contextlib
+import heapq
 import io
+import itertools
 import json
 import os
 import random
@@ -38,7 +40,7 @@ from birat.poly import (
     poly_lcm,
     poly_str,
 )
-from birat.scalars import GF, QI, QQ, FieldKind, parse_field
+from birat.scalars import GF, QI, QQ, FieldKind, Scalar, _is_prime, parse_field
 
 
 def p(text, nvars=2, field=QQ):
@@ -438,6 +440,31 @@ def test_gcd_modular_route(monkeypatch, field):
     assert brown and prs == []
 
 
+@pytest.mark.parametrize("one_mod_four", [False, True])
+def test_word_primes_are_scanned_once_and_match_a_fresh_scan(monkeypatch, one_mod_four):
+    def scan():
+        n = (1 << 31) - 1
+        while n > 2:
+            if (not one_mod_four or n % 4 == 1) and _is_prime(n):
+                yield n
+            n -= 2
+
+    fresh = list(itertools.islice(scan(), 12))
+    monkeypatch.setitem(_modular._WORD_PRIMES, one_mod_four, [])
+    first = _modular._word_primes(one_mod_four)
+    second = _modular._word_primes(one_mod_four)
+    # the first runs ahead, the second reads its primes and then scans on
+    got_first = list(itertools.islice(first, 5))
+    got_second = list(itertools.islice(second, 9))
+    got_first += itertools.islice(first, 7)
+    got_second += itertools.islice(second, 3)
+    assert got_first == got_second == fresh
+    assert _modular._WORD_PRIMES[one_mod_four] == fresh
+    proofs = _spy(monkeypatch, _modular, "_is_prime")
+    assert list(itertools.islice(_modular._word_primes(one_mod_four), 12)) == fresh
+    assert proofs == []
+
+
 def test_gcd_drops_an_unlucky_prime(monkeypatch):
     # mod the first prime tried, x0 + x2 + first = x0 + x2 is a second
     # common factor: that image has the larger leading monomial
@@ -715,6 +742,29 @@ def test_parse_errors_keep_their_codes(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text", ["x0/5", "x0/10", "3/(5)*x0", "x0/5^2", "x1/2/5"])
+def test_a_divisor_that_vanishes_mod_p_is_a_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, GF(5), 2)
+    assert str(err.value) == "division by zero in literal"
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101)], ids=str)
+def test_a_term_of_literals_costs_no_scalar_arithmetic(monkeypatch, field):
+    products = _spy(monkeypatch, Scalar, "__mul__")
+    inverses = _spy(monkeypatch, Scalar, "inverse")
+    f = parse_poly("-3/4*x0*2/5 x1^2 + 2^3/3^2*x0", field, 2)
+    assert products == [] and inverses == []
+    assert f == Polynomial(field, 2, {(1, 2): field.from_fraction(-3, 10), (1, 0): field.from_fraction(8, 9)})
+
+
+@pytest.mark.parametrize("text", ["1" * 5000 + "*x0", "x0^" + "9" * 5000, "x" + "1" * 5000])
+def test_an_integer_literal_past_the_digit_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, QQ, 2)
+    assert str(err.value) == "integer literal too long"
+
+
 def test_a_sum_of_monomials_is_parsed_without_polynomial_sums(monkeypatch):
     from birat import _kernels
 
@@ -831,6 +881,141 @@ def test_substitute_runs_on_raw_values(monkeypatch):
         assert f.substitute(gs).terms == expected.terms
         assert calls == []
     assert kernel_calls
+
+
+# ---------------------------------------------------------------------------
+# exact division on raw values against the Scalar route
+
+
+def _reference_exact_div(a, b):
+    """a / b by the heap loop on Scalars, one inverse of lc(b) per call."""
+    if b.is_constant:
+        return a * b.constant_term().inverse()
+    lt_e, lt_c = b.leading_term()
+    lt_c_inv = lt_c.inverse()
+    tail = [(e, -c) for e, c in b.terms.items() if e != lt_e]
+    rem = dict(a.terms)
+    heap = [(poly._heap_key(e), e) for e in rem]
+    heapq.heapify(heap)
+    quo = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = rem.pop(e, None)
+        if c is None:
+            continue  # cancelled since it was pushed
+        d = tuple(x - y for x, y in zip(e, lt_e))
+        if any(x < 0 for x in d):
+            raise InexactDivisionError("division leaves a nonzero remainder")
+        q = c * lt_c_inv
+        quo[d] = q
+        for eb, cb in tail:
+            k = tuple(x + y for x, y in zip(d, eb))
+            prev = rem.get(k)
+            if prev is None:
+                rem[k] = q * cb
+                heapq.heappush(heap, (poly._heap_key(k), k))
+            else:
+                s = prev + q * cb
+                if s:
+                    rem[k] = s
+                else:
+                    del rem[k]
+    return Polynomial(a.field, a.nvars, quo)
+
+
+def _quotient_or_inexact(divide, a, b):
+    try:
+        return divide(a, b)
+    except InexactDivisionError:
+        return "inexact"
+
+
+def _division_cases(rng, field):
+    pairs = []
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        b = _raw_route_polys(rng, field, n, 3, rng.randint(1, 4))
+        q = _raw_route_polys(rng, field, n, 3, rng.randint(0, 5))
+        if b:
+            pairs.append((b * q, b))
+            pairs.append((b * q + _rand_poly(rng, field, n, 2, 1), b))
+    hand = [
+        # contents and denominators on both sides, negative leads
+        ("3/7*(-2*x0 + 3*x1)*(x0 - 5*x1 + 1)", "(-4*x0 + 6*x1)/5"),
+        ("(-3*x0^2 + 2*x1)*(-x0 + 7)", "-3*x0^2 + 2*x1"),
+        # a lead that the divisor's integer lead does not divide
+        ("x0 + 1", "2*x0 + 3"),
+        ("(2*x0 + 3)*(x0 + 1) + 1", "2*x0 + 3"),
+        ("6*x0^2 + 5*x0*x1 + 1", "3*x0 + 1"),
+        # a monomial that the divisor's leading monomial does not divide
+        ("x0*x1 + 1", "x1^2"),
+        ("x0^3 + x1", "x0^2 + x1"),
+        # constant divisors, and a constant divided by a nonconstant
+        ("(x0 + x1)^2 - 4/3", "7/3"),
+        ("5", "x0 + 1"),
+    ]
+    if field.kind is FieldKind.GAUSSIAN_RATIONAL:
+        hand += [
+            # 2 = (1+i)(1-i): the content of (1+i)*x0 + 2 is 1+i
+            ("((1+i)*x0 + 2)*(x0 + i)", "(1+i)*x0 + 2"),
+            ("((1+i)*x0 + 2)*(3*x0 - 2*i*x1)/(1-2*i)", "(2+2*i)*x0 + 4"),
+            ("((1+i)*x0 + 2)*x0 + 1", "(1+i)*x0 + 2"),
+            ("(3 + 4*i)*x0^2 - i", "(1+2*i)*x0"),
+            ("(x0 + x1)*(2 + i)", "1 - i"),
+        ]
+    for a, b in hand:
+        try:
+            a, b = p(a, 2, field), p(b, 2, field)
+        except ParseError:
+            continue  # a divisor in the text vanishes mod p
+        if b:
+            pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_exact_div_matches_the_scalar_route(name):
+    field = FIELDS[name]
+    outcomes = []
+    for a, b in _division_cases(random.Random(f"exact-div/{name}"), field):
+        expected = _quotient_or_inexact(_reference_exact_div, a, b)
+        assert _quotient_or_inexact(exact_div, a, b) == expected, (a, b)
+        outcomes.append(expected == "inexact")
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_exact_div_runs_on_raw_values(monkeypatch):
+    calls = []
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__neg__", "inverse"):
+        real = getattr(Scalar, attr)
+
+        def spy(self, *args, real=real, attr=attr):
+            calls.append(attr)
+            return real(self, *args)
+
+        monkeypatch.setattr(Scalar, attr, spy)
+    rng = random.Random("exact-div-calls")
+    cases = []
+    for field in FIELDS.values():
+        b = _rand_poly(rng, field, 3, 3, 4) + Polynomial.variable(field, 3, 0) ** 4
+        q = _rand_poly(rng, field, 3, 3, 5)
+        cases.append((b * q, b, q, b * q + 1))
+    calls.clear()
+    for a, b, q, c in cases:
+        assert exact_div(a, b) == q
+        assert not divides(b, c)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101)], ids=str)
+def test_a_fraction_is_reduced_with_two_divisions(monkeypatch, field):
+    # the divisions that verify the gcd give the reduced parts
+    num = p("(x0 + 1)*(x1 + 2)", 2, field)
+    den = p("(x0 + 1)*(x1 - 3)", 2, field)
+    calls = _spy(monkeypatch, poly, "exact_div")
+    f = RationalFunction(num, den)
+    assert (f.num, f.den) == (p("x1 + 2", 2, field), p("x1 - 3", 2, field))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
