@@ -6,6 +6,13 @@ order.  Composition substitutes and re-reduces; the degree of a map is the
 common degree after reduction, so degrees are submultiplicative but not
 multiplicative (the standard quadratic involution squares to the identity).
 
+Three kinds of family are reduced without a gcd, since their structure
+decides it: a composition with an invertible linear factor on either side is
+coprime already; a family of linear forms is coprime unless its coefficient
+matrix has rank 1; and a family with a monomial member has a monomial gcd
+(poly._gcd_cofactors), which divides by shifting exponents.  A composition
+whose dense term count would pass _MAX_COMPOSE_TERMS fails fast instead.
+
 The affine chart x0 != 0 is the distinguished one: to_chart produces the d
 reduced rational functions describing the map there, remembering their
 homogeneous pieces, and from_chart homogenizes back.
@@ -13,6 +20,7 @@ homogeneous pieces, and from_chart homogenizes back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import matrices
@@ -23,6 +31,7 @@ from .errors import (
     EmptyFamilyError,
     FieldMismatchError,
     IndeterminateAtPointError,
+    LimitExceededError,
     NotHomogeneousError,
     ParseError,
     ZeroMapError,
@@ -44,11 +53,17 @@ from .poly import (
     split_group,
 )
 
+# A composition of maps of degrees a and b on P^d is refused where C(a*b + d, d),
+# the number of monomials of degree a*b and so a bound on the terms of each
+# substituted component, passes this.  It bounds size, not time: coefficient
+# growth can make a composition under it slow.
+_MAX_COMPOSE_TERMS = 10**6
+
 
 class CremonaMap:
     """A birational-style self-map of P^d in canonical reduced form."""
 
-    __slots__ = ("field", "components", "_chart")
+    __slots__ = ("field", "components", "_chart", "_rank")
 
     def __init__(self, components):
         comps = list(components)
@@ -77,18 +92,36 @@ class CremonaMap:
                     )
         if degree is None:
             raise ZeroMapError("all components vanish")
-        g, comps = _gcd_cofactors(comps)
-        degree -= g.total_degree
-        if degree < 1:
+        rank = None
+        if degree == 1:
+            # two linear forms that are not proportional share no factor
+            rank = _linear_rank(comps)
+            reduced = rank > 1
+        else:
+            g, comps = _gcd_cofactors(comps)
+            reduced = degree > g.total_degree
+        if not reduced:
             raise ZeroMapError("map reduces to a constant tuple")
+        self._normalize(comps)
+        self._rank = rank
+
+    @classmethod
+    def _trusted(cls, comps):
+        # comps are homogeneous of one positive degree, with no common factor
+        self = object.__new__(cls)
+        self._normalize(comps)
+        return self
+
+    def _normalize(self, comps):
         lead = next(c for c in comps if not c.is_zero)
         lc = lead.leading_coefficient()
         if lc != 1:
             inv = lc.inverse()
             comps = [c * inv for c in comps]
-        self.field = field
+        self.field = lead.field
         self.components = tuple(comps)
         self._chart = None
+        self._rank = None  # of the coefficient matrix, once a linear map needs it
 
     @classmethod
     def identity(cls, field, dim):
@@ -115,6 +148,14 @@ class CremonaMap:
     def degree(self):
         return next(c for c in self.components if not c.is_zero).total_degree
 
+    def _is_automorphism(self):
+        """A linear map with an invertible coefficient matrix."""
+        if self._rank is None:
+            if self.degree != 1:
+                return False
+            self._rank = _linear_rank(self.components)
+        return self._rank == len(self.components)
+
     def _is_identity(self):
         for v, c in enumerate(self.components):
             if len(c.terms) != 1:
@@ -125,7 +166,14 @@ class CremonaMap:
         return True
 
     def compose(self, other):
-        """self after other, reduced."""
+        """self after other, reduced.
+
+        Next to an invertible linear factor L the substituted components
+        are coprime already.  x -> Lx is a ring automorphism, so it keeps
+        the components of self coprime in self o L; and the components of
+        other are linear combinations of those of L o other, so a common
+        factor of these divides all of them.
+        """
         if self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
         if self.dim != other.dim:
@@ -134,10 +182,19 @@ class CremonaMap:
             return self
         if self._is_identity():
             return other
+        degree = self.degree * other.degree
+        terms = math.comb(degree + self.dim, self.dim)
+        if terms > _MAX_COMPOSE_TERMS:
+            raise LimitExceededError(
+                f"a composition of degree {degree} on P^{self.dim} may have {terms} terms"
+                f" per component, over the limit of {_MAX_COMPOSE_TERMS}"
+            )
         subs = list(other.components)
         comps = [c.substitute(subs) for c in self.components]
         if all(c.is_zero for c in comps):
             raise ZeroMapError("composition vanishes identically")
+        if other._is_automorphism() or self._is_automorphism():
+            return CremonaMap._trusted(comps)
         return CremonaMap(comps)
 
     def apply(self, point):
@@ -200,6 +257,13 @@ class CremonaMap:
 
     def __repr__(self):
         return f"CremonaMap({self.field}, {self})"
+
+
+def _linear_rank(comps):
+    """Rank of the coefficient matrix of linear forms, one row per form."""
+    n = len(comps)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return matrices.rank([[c.coefficient(e) for e in units] for c in comps])
 
 
 @dataclass(frozen=True)

@@ -104,3 +104,7 @@ class NotACocycleError(BiratError):
 
 class ParseError(BiratError):
     code = "PARSE_ERROR"
+
+
+class LimitExceededError(BiratError):
+    code = "LIMIT_EXCEEDED"

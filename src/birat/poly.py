@@ -836,11 +836,13 @@ _COMBINATION_TRIES = 3
 def poly_gcd_list(ps):
     """gcd of a family, normalized to grevlex leading coefficient 1.
 
-    One gcd of the smallest member and a seeded random combination of the
-    others is a multiple of the family's gcd, and equal to it unless the
-    combination is unlucky; it is kept only if it divides every member.
-    After a few unlucky combinations, and over small prime fields, where
-    most combinations are unlucky, the pairwise chain decides.
+    A family with a monomial member, unless it is a pair, has as its gcd
+    the largest monomial dividing every member.  Otherwise one gcd of the
+    smallest member and a seeded random combination of the others is a
+    multiple of the family's gcd, and equal to it unless the combination is
+    unlucky; it is kept only if it divides every member.  After a few
+    unlucky combinations, and over small prime fields, where most
+    combinations are unlucky, the pairwise chain decides.
     """
     return _gcd_cofactors(ps)[0]
 
@@ -851,9 +853,12 @@ def _gcd_cofactors(ps):
     A family of two nonzero members, as every fraction is, takes its gcd
     and both quotients from _gcd_pair, which returns the quotients that
     verified the gcd; they are scaled for the monic gcd, and a member is
-    divided only where its quotient is unknown, after the PRS.  A larger
-    family goes through poly_gcd, once per random combination or link of
-    the chain, and dividing its members by the result checks it.
+    divided only where its quotient is unknown, after the PRS.  In any
+    other family with a monomial member the gcd divides that monomial, so
+    it is the largest monomial dividing every member: no gcd runs.  The
+    rest goes through poly_gcd, once per random combination or link of the
+    chain, and dividing its members by the result checks it; a monomial
+    gcd divides by shifting exponents.
     """
     ps = list(ps)
     order = sorted(
@@ -866,6 +871,11 @@ def _gcd_cofactors(ps):
         return _pair_cofactors(ps, *order)
     head, rest = ps[order[0]], [ps[k] for k in order[1:]]
     field = head.field
+    if any(len(ps[k].terms) == 1 for k in order):
+        m = tuple(map(min, zip(*(e for k in order for e in ps[k].terms))))
+        if not any(m):
+            return Polynomial.one(field, head.nvars), ps
+        return _divided(ps, Polynomial._raw(field, head.nvars, {m: field.one()}))
     top = field.modulus if field.kind is FieldKind.PRIME_FIELD else 1 << 16
     chain = len(rest) < 2 or _few_points(field, rest[-1].total_degree)
     rng = random.Random(_CERT_SEED + 1)
@@ -883,10 +893,9 @@ def _gcd_cofactors(ps):
         g = poly_gcd(head, mix)
         if g.is_constant:
             return g, ps
-        try:
-            return g, [exact_div(p, g) if p else p for p in ps]
-        except InexactDivisionError:
-            continue
+        found = _divided(ps, g)
+        if found is not None:
+            return found
     g = head
     for p in rest:
         if g.is_constant:
@@ -895,7 +904,30 @@ def _gcd_cofactors(ps):
     g = g.monic()
     if g.is_constant:
         return g, ps
-    return g, [exact_div(p, g) if p else p for p in ps]
+    return _divided(ps, g)
+
+
+def _divided(ps, g):
+    """(g, every member of ps divided by the monic g), or None if g misses one.
+
+    A monomial g divides by shifting exponents; any other g by exact_div.
+    """
+    if len(g.terms) > 1:
+        try:
+            return g, [exact_div(p, g) if p else p for p in ps]
+        except InexactDivisionError:
+            return None
+    (m,) = g.terms
+    quos = []
+    for p in ps:
+        terms = {}
+        for e, c in p.terms.items():
+            d = tuple(map(sub, e, m))
+            if min(d) < 0:
+                return None
+            terms[d] = c
+        quos.append(Polynomial._raw(p.field, p.nvars, terms))
+    return g, quos
 
 
 def _pair_cofactors(ps, i, j):

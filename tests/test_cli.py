@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -21,6 +22,48 @@ def test_compose(capsys):
     code, out, _ = run(capsys, "compose", SIGMA, SIGMA)
     assert code == 0
     assert out.strip() == "P^2: [x0 : x1 : x2]"
+
+
+def test_a_singular_linear_factor_composes_in_full(capsys):
+    code, out, _ = run(capsys, "compose", SIGMA, "P^2: [x0 : x0 : x1]")
+    assert code == 0
+    assert out.strip() == "P^2: [x1 : x1 : x0]"
+
+
+HUGE = "P^2: [x0^4000 : x1^4000 : x2^4000]"
+
+
+def test_a_huge_composition_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compose", HUGE, "P^2: [x0 + x1 : x1 + x2 : x2 + x0]")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("LIMIT_EXCEEDED")
+
+
+def test_the_composition_limit_bounds_the_terms_of_the_product_degree(capsys):
+    # C(1412 + 2, 2) = 998,991 monomials pass the limit of 10^6; C(1413 + 2, 2) do not
+    code, out, _ = run(capsys, "compose", "P^2: [x0^706 : x1^706 : x2^706]", "P^2: [x0^2 : x1^2 : x2^2]")
+    assert code == 0
+    assert out.strip() == "P^2: [x0^1412 : x1^1412 : x2^1412]"
+    code, out, err = run(capsys, "compose", "P^2: [x0^471 : x1^471 : x2^471]", "P^2: [x0^3 : x1^3 : x2^3]")
+    assert code == 2
+    assert err.startswith("LIMIT_EXCEEDED")
+
+
+def test_a_degree_300_composition_is_under_the_limit(capsys):
+    code, out, _ = run(capsys, "compose", "P^2: [x0^300 : x1^300 : x2^300]",
+                       "P^2: [x0 + x1 : x1 + x2 : x2 + x0]")
+    assert code == 0
+    assert out.startswith("P^2: [x0^300 + 300*x0^299*x1 + 44850*x0^298*x1^2 + ")
+
+
+def test_composing_with_the_identity_is_not_limited(capsys):
+    for f, g in ((HUGE, "P^2: [x0 : x1 : x2]"), ("P^2: [x0 : x1 : x2]", HUGE)):
+        code, out, _ = run(capsys, "compose", f, g)
+        assert code == 0
+        assert out.strip() == HUGE
 
 
 def test_degree(capsys):
