@@ -40,8 +40,12 @@ from .linear import ProjPoint
 from .poly import (
     Polynomial,
     RationalFunction,
+    _decode_terms,
     _gcd_cofactors,
+    _heap_key,
+    _poly_str,
     _powers_at,
+    _substitute_raw,
     _value,
     _value_and_gradient,
     dehomogenize,
@@ -102,26 +106,21 @@ class CremonaMap:
             reduced = degree > g.total_degree
         if not reduced:
             raise ZeroMapError("map reduces to a constant tuple")
-        self._normalize(comps)
-        self._rank = rank
+        self._store(_monic(comps), rank)
 
     @classmethod
     def _trusted(cls, comps):
-        # comps are homogeneous of one positive degree, with no common factor
+        # comps are homogeneous of one positive degree, with no common
+        # factor, and the first nonzero one is monic
         self = object.__new__(cls)
-        self._normalize(comps)
+        self._store(comps, None)
         return self
 
-    def _normalize(self, comps):
-        lead = next(c for c in comps if not c.is_zero)
-        lc = lead.leading_coefficient()
-        if lc != 1:
-            inv = lc.inverse()
-            comps = [c * inv for c in comps]
-        self.field = lead.field
+    def _store(self, comps, rank):
+        self.field = comps[0].field
         self.components = tuple(comps)
         self._chart = None
-        self._rank = None  # of the coefficient matrix, once a linear map needs it
+        self._rank = rank  # of the coefficient matrix, once a linear map needs it
 
     @classmethod
     def identity(cls, field, dim):
@@ -190,11 +189,20 @@ class CremonaMap:
                 f" per component, over the limit of {_MAX_COMPOSE_TERMS}"
             )
         subs = list(other.components)
+        if other._is_automorphism() or self._is_automorphism():
+            # one pass over all components, which cannot all vanish; each
+            # coefficient is decoded once, over the raw leading coefficient
+            # of the first nonzero component, so the result comes out monic
+            raws, _ = _substitute_raw(self.components, subs)
+            lead = next(r for r in raws if r)
+            lc = lead[min(lead, key=_heap_key)]
+            field, m = self.field, len(subs)
+            return CremonaMap._trusted(
+                [Polynomial._raw(field, m, _decode_terms(field, r, lc) if r else {}) for r in raws]
+            )
         comps = [c.substitute(subs) for c in self.components]
         if all(c.is_zero for c in comps):
             raise ZeroMapError("composition vanishes identically")
-        if other._is_automorphism() or self._is_automorphism():
-            return CremonaMap._trusted(comps)
         return CremonaMap(comps)
 
     def apply(self, point):
@@ -257,6 +265,19 @@ class CremonaMap:
 
     def __repr__(self):
         return f"CremonaMap({self.field}, {self})"
+
+
+def _monic(comps):
+    """comps scaled so that the first nonzero one is monic."""
+    lead = next(c for c in comps if not c.is_zero)
+    lc = lead.leading_coefficient()
+    if lc == 1:
+        return comps
+    field = lead.field
+    return [
+        Polynomial._raw(field, c.nvars, dict(zip(c.terms, field._over(c.terms.values(), lc))))
+        for c in comps
+    ]
 
 
 def _linear_rank(comps):
@@ -375,5 +396,6 @@ def parse_map(text, field):
 
 
 def map_str(f):
-    comps = " : ".join(poly_str(c) for c in f.components)
+    monomials = {}
+    comps = " : ".join(_poly_str(c, 0, monomials) for c in f.components)
     return f"P^{f.dim}: [{comps}]"

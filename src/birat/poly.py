@@ -277,16 +277,7 @@ class Polynomial:
         return _value(self.field, self.terms, _powers_at(self.field, self.nvars, vals))
 
     def substitute(self, polys):
-        """Substitute polys[v] for variable v; polys may live in another arity.
-
-        Horner's rule in one variable after another: each step multiplies by
-        one substituted polynomial, or a power of it cached across the whole
-        substitution, never by a product of several powers.  The loop runs
-        on raw values: with D the common denominator of the polys, E that of
-        self and N its total degree, the term c*x^e enters as the integer
-        E*c*D^(N-|e|) and the substituted polys as D*polys[v], so the sum
-        comes out over E*D^N, also where self is not homogeneous.
-        """
+        """Substitute polys[v] for variable v; polys may live in another arity."""
         if len(polys) != self.nvars:
             raise ArityMismatchError(f"expected {self.nvars} polynomials, got {len(polys)}")
         if not polys:
@@ -300,39 +291,8 @@ class Polynomial:
                 raise ArityMismatchError("substituted polynomials disagree on arity")
         if not self.terms:
             return Polynomial.zero(field, m)
-        den = field._den([c for g in polys for c in g.terms.values()])
-        top = max(sum(e) for e in self.terms)
-        dpow = [1]
-        for _ in range(top):
-            dpow.append(dpow[-1] * den)
-        fden = field._den(self.terms.values())
-        terms = _encode_terms(field, self.terms, fden, [dpow[top - sum(e)] for e in self.terms])
-        pows = [{1: _encode_terms(field, g.terms, den)} for g in polys]
-        mul, add, _ = _raw_kernels(field)
-        one = (0,) * m
-        nvars = self.nvars
-
-        def power(v, k):
-            if k not in pows[v]:
-                pows[v][k] = mul(power(v, k // 2), power(v, k - k // 2))
-            return pows[v][k]
-
-        def horner(terms, v):
-            # sum of c * prod polys[v + j]^e[j] over terms {e: c}
-            if v == nvars:
-                return {one: terms[()]}
-            groups = {}
-            for e, c in terms.items():
-                groups.setdefault(e[0], {})[e[1:]] = c
-            degrees = sorted(groups, reverse=True)
-            acc = horner(groups[degrees[0]], v + 1)
-            for k, below in zip(degrees, degrees[1:]):
-                acc = add(mul(acc, power(v, k - below)), horner(groups[below], v + 1))
-            if degrees[-1]:
-                acc = mul(acc, power(v, degrees[-1]))
-            return acc
-
-        return Polynomial._raw(field, m, _decode_terms(field, horner(terms, 0), fden * dpow[top]))
+        (raw,), den = _substitute_raw([self], polys)
+        return Polynomial._raw(field, m, _decode_terms(field, raw, den))
 
     def derivative(self, v):
         if not 0 <= v < self.nvars:
@@ -390,6 +350,61 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.field}, {self.nvars}, {self})"
+
+
+def _substitute_raw(fs, polys):
+    """The raw term dicts of every f(polys) for f in fs, over one denominator.
+
+    Returns (raws, den): raws[k] / den is fs[k] with polys[v] put for
+    variable v.  fs share a field and an arity, len(polys) of them, and
+    the polys are nonempty, in that field and of one arity.  Horner's rule
+    in one variable after another: each step multiplies by one substituted
+    polynomial, or a power of it cached across all of fs, never by a
+    product of several powers.  The polys are encoded once: with D their
+    common denominator, E that of all of fs and N the largest total degree
+    in fs, the term c*x^e enters as the integer E*c*D^(N-|e|) and the
+    substituted polys as D*polys[v], so every sum comes out over E*D^N,
+    also where an f is not homogeneous.
+    """
+    field = fs[0].field
+    den = field._den([c for g in polys for c in g.terms.values()])
+    top = max((sum(e) for f in fs for e in f.terms), default=0)
+    dpow = [1]
+    for _ in range(top):
+        dpow.append(dpow[-1] * den)
+    fden = field._den([c for f in fs for c in f.terms.values()])
+    pows = [{1: _encode_terms(field, g.terms, den)} for g in polys]
+    mul, add, _ = _raw_kernels(field)
+    one = (0,) * polys[0].nvars
+    nvars = len(polys)
+
+    def power(v, k):
+        if k not in pows[v]:
+            pows[v][k] = mul(power(v, k // 2), power(v, k - k // 2))
+        return pows[v][k]
+
+    def horner(terms, v):
+        # sum of c * prod polys[v + j]^e[j] over terms {e: c}
+        if v == nvars:
+            return {one: terms[()]}
+        groups = {}
+        for e, c in terms.items():
+            groups.setdefault(e[0], {})[e[1:]] = c
+        degrees = sorted(groups, reverse=True)
+        acc = horner(groups[degrees[0]], v + 1)
+        for k, below in zip(degrees, degrees[1:]):
+            acc = add(mul(acc, power(v, k - below)), horner(groups[below], v + 1))
+        if degrees[-1]:
+            acc = mul(acc, power(v, degrees[-1]))
+        return acc
+
+    raws = [
+        horner(_encode_terms(field, f.terms, fden, [dpow[top - sum(e)] for e in f.terms]), 0)
+        if f.terms
+        else {}
+        for f in fs
+    ]
+    return raws, fden * dpow[top]
 
 
 # ---------------------------------------------------------------------------
@@ -1128,8 +1143,13 @@ def jacobian(fs, point):
 # text format: variables x0..x9, ^ for powers, * explicit or implicit
 
 
+_BRACKETS = frozenset("()[]")
+
+
 def split_group(text, sep):
     """Split on sep at bracket depth zero."""
+    if _BRACKETS.isdisjoint(text):
+        return text.split(sep)
     parts = []
     depth = 0
     cur = []
@@ -1307,12 +1327,67 @@ class _PolyParser:
         raise ParseError(f"unexpected token {kind!r}")
 
 
-def parse_poly(text, field, nvars, offset=0):
-    """Parse a polynomial; variables are x{offset}..x{offset+nvars-1}."""
+# A sum of terms [+-] [a[/b]] [*] x_i[^k]*..., what poly_str prints over Q
+# and F_p, is read one match per term, whitespace as the tokenizer allows
+# it; any other text, errors included, goes to the descent.
+_MONOMIAL = r"x\d+(?:\s*\^\s*\d+)?(?:\s*(?:\*\s*)?x\d+(?:\s*\^\s*\d+)?)*"
+_TERM = re.compile(
+    rf"\s*(?:([-+])\s*)?(?:(\d+)(?:\s*/\s*(\d+))?(?:\s*(?:\*\s*)?({_MONOMIAL}))?|({_MONOMIAL}))\s*"
+)
+_POWER = re.compile(r"x(\d+)(?:\s*\^\s*(\d+))?")
+
+
+def _sum_of_terms(text, field, nvars, offset):
+    """The term dict of a plain sum of terms, or None for the descent."""
+    p = field.modulus if field.kind is FieldKind.PRIME_FIELD else None
+    match = _TERM.match
+    terms = {}
+    pos, end = 0, len(text)
+    try:
+        while pos < end:
+            m = match(text, pos)
+            if m is None:
+                return None
+            sign, num, den, mono, bare = m.groups()
+            if pos and not sign:
+                return None
+            pos = m.end()
+            exps = [0] * nvars
+            for var, k in _POWER.findall(mono or bare or ""):
+                slot = int(var) - offset
+                if not 0 <= slot < nvars:
+                    return None
+                exps[slot] += int(k) if k else 1
+            num = int(num) if num else 1
+            if sign == "-":
+                num = -num
+            if den:
+                den = int(den)
+                if not den or (p and not den % p):
+                    return None
+                c = field.from_fraction(num, den)
+            else:
+                c = field.from_int(num)
+            _fold(terms, tuple(exps), c)
+    except ValueError:
+        # int() refuses literals past sys.get_int_max_str_digits() digits
+        return None
+    return terms if pos else None
+
+
+def _descend(text, field, nvars, offset):
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial")
     return _PolyParser(tokens, field, nvars, offset).parse()
+
+
+def parse_poly(text, field, nvars, offset=0):
+    """Parse a polynomial; variables are x{offset}..x{offset+nvars-1}."""
+    terms = _sum_of_terms(text, field, nvars, offset)
+    if terms is None:
+        return _descend(text, field, nvars, offset)
+    return Polynomial._raw(field, nvars, terms)
 
 
 def parse_scalar(text, field):
@@ -1322,24 +1397,32 @@ def parse_scalar(text, field):
 
 
 def poly_str(p, offset=0):
+    return _poly_str(p, offset, {})
+
+
+def _poly_str(p, offset, monomials):
+    """poly_str, taking each monomial's text from monomials, filled as met.
+
+    map_str passes one dict to all components of a map, which share their
+    monomials.
+    """
     if p.is_zero:
         return "0"
-    pieces = []
+    out = []
     for exps in sorted(p.terms, key=_heap_key):
-        c = p.terms[exps]
-        mono = "*".join(
-            f"x{v + offset}" if k == 1 else f"x{v + offset}^{k}"
-            for v, k in enumerate(exps)
-            if k
-        )
-        neg, cs = c._sign_split()
+        mono = monomials.get(exps)
+        if mono is None:
+            mono = monomials[exps] = "*".join(
+                f"x{v + offset}" if k == 1 else f"x{v + offset}^{k}"
+                for v, k in enumerate(exps)
+                if k
+            )
+        neg, cs = p.terms[exps]._sign_split()
         if mono and cs == "1":
             body = mono
         else:
             body = f"{cs}*{mono}" if mono else cs
-        pieces.append(("-" if neg else "+", body))
-    sign, body = pieces[0]
-    out = [f"-{body}" if sign == "-" else body]
-    for sign, body in pieces[1:]:
-        out.append(f" {sign} {body}")
+        out.append(f" - {body}" if neg else f" + {body}")
+    first = out[0]
+    out[0] = "-" + first[3:] if first[1] == "-" else first[3:]
     return "".join(out)

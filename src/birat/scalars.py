@@ -170,6 +170,20 @@ class FieldSpec:
             den = den.re * den.re + den.im * den.im
         return [Scalar(self, (Fraction(r.re, den), Fraction(r.im, den))) for r in raws]
 
+    def _over(self, scalars, d):
+        """The Scalars s/d for s in scalars; d is a nonzero Scalar."""
+        if self.kind is FieldKind.PRIME_FIELD:
+            p = self.modulus
+            inv = pow(d.value, -1, p)
+            return [Scalar(self, s.value * inv % p) for s in scalars]
+        if self.kind is FieldKind.RATIONAL:
+            dv = d.value
+            return [Scalar(self, s.value / dv) for s in scalars]
+        a, b = d.value
+        n = a * a + b * b
+        c, e = a / n, -b / n
+        return [Scalar(self, (x * c - y * e, x * e + y * c)) for x, y in (s.value for s in scalars)]
+
     def _raw_int(self, n):
         """The raw value of the integer n."""
         if self.kind is FieldKind.PRIME_FIELD:
@@ -466,17 +480,15 @@ class Scalar:
         text is that of -self where negative, and parenthesised where self
         has both a real and an imaginary part; it is "1" only for 1.
         """
-        k = self.field.kind
-        if k is FieldKind.RATIONAL:
-            v = self.value
-            return (True, str(-v)) if v < 0 else (False, str(v))
-        if k is FieldKind.GAUSSIAN_RATIONAL:
+        if self.field.kind is FieldKind.GAUSSIAN_RATIONAL:
             re, im = self.value
             if re and im:
                 return False, f"({self})"
             if (re or im) < 0:
                 return True, str(-self)
-        return False, str(self)
+            return False, str(self)
+        text = str(self.value)
+        return (True, text[1:]) if text[0] == "-" else (False, text)
 
     def __repr__(self):
         return f"Scalar({self.field}, {self})"

@@ -335,6 +335,72 @@ def _rand_poly(rng, field, nvars, degree, nterms):
     return Polynomial(field, nvars, terms)
 
 
+_SPACES = st.sampled_from(["", "", "", " ", "  ", "\t", "\n "])
+# plain, zero, vanishing mod 2, 3 or 101, and past int()'s 4300-digit limit
+_LITERALS = st.one_of(
+    st.integers(1, 10**30).map(str),
+    st.sampled_from(["0", "00", "2", "3", "6", "101", "202", "007", "7" * 5000]),
+)
+
+
+@st.composite
+def _term_texts(draw):
+    """(text, field name, nvars, offset): text a sum of terms
+    [+-] [a[/b]] [*] x_i[^k]*..., with spacing and faults."""
+    nvars, offset = draw(st.integers(0, 4)), draw(st.integers(0, 1))
+    in_range = st.integers(offset, offset + nvars - 1) if nvars else st.nothing()
+    pieces = []
+    for k in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["", "+", "-"] if k == 0 else ["+", "-", "+", "-", ""]))
+        pieces += [draw(_SPACES), sign, draw(_SPACES)]
+        literal = draw(st.none() | _LITERALS)
+        if literal is not None:
+            pieces.append(literal)
+            if draw(st.booleans()):
+                pieces += [draw(_SPACES), "/", draw(_SPACES), draw(_LITERALS)]
+        powers = []
+        for _ in range(draw(st.integers(0 if literal is not None else 1, 4))):
+            # one in ten out of range: x5 and x6 always are
+            v = draw(in_range if nvars and draw(st.integers(0, 9)) else st.sampled_from([0, 1, 5, 6]))
+            exponent = draw(st.sampled_from(["", "", "^0", "^1", "^2", " ^ 3", "^12", "^007"]))
+            powers.append(f"x{v}{exponent}")
+        if powers:
+            if literal is not None:
+                pieces.append(draw(st.sampled_from(["*", "", " ", " * "])))
+            glue = draw(st.sampled_from(["*", "*", "", " ", " *\t"]))
+            pieces.append(glue.join(powers))
+        pieces.append(draw(_SPACES))
+    return "".join(pieces), draw(st.sampled_from(sorted(FIELDS))), nvars, offset
+
+
+def _parsed_or_error(read, text, field, nvars, offset):
+    try:
+        return list(read(text, field, nvars, offset).terms.items())
+    except ParseError as e:
+        return type(e), str(e)
+
+
+@given(_term_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_poly_reads_terms_as_the_descent_does(case):
+    # the term-per-match reader either gives the descent's terms, in its
+    # order, or leaves the text to the descent, which raises its error
+    text, name, nvars, offset = case
+    field = FIELDS[name]
+    expected = _parsed_or_error(poly._descend, text, field, nvars, offset)
+    assert _parsed_or_error(parse_poly, text, field, nvars, offset) == expected
+
+
+def test_printed_sums_take_the_term_reader():
+    rng = random.Random("printed")
+    for name in ("Q", "F101", "F2", "F3"):
+        field = FIELDS[name]
+        for _ in range(10):
+            f = _rand_poly(rng, field, 4, 3, rng.randint(1, 8))
+            text = poly_str(f, offset=1)
+            assert poly._sum_of_terms(text, field, 4, 1) == f.terms
+
+
 def _to_sympy(sp, f, gens):
     kind = f.field.kind
     if kind is FieldKind.PRIME_FIELD:

@@ -9,16 +9,17 @@ exact_div, and counted to show that it makes no gcd call.
 """
 
 import functools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from birat import affine, cremona, poly
+from birat import affine, cremona, matrices, poly
 from birat.affine import to_cremona
 from birat.cremona import CremonaMap, parse_map, standard_involution
 from birat.errors import BiratError, ZeroMapError
 from birat.poly import Polynomial, _gcd_cofactors, exact_div, parse_poly, poly_gcd
-from birat.scalars import GF, QI, QQ
+from birat.scalars import GF, QI, QQ, Scalar
 
 FIELDS = [QQ, QI, GF(101), GF(2), GF(3)]
 
@@ -134,6 +135,70 @@ def test_compositions_with_a_linear_factor_reduce_as_the_gcd_route_does(data):
     for a, b in ((f, lin), (lin, f)):
         expected = _outcome(lambda: _composed_by_gcd(a, b))
         assert _outcome(lambda: a.compose(b).components) == expected
+
+
+def _invertible_linear_map(rng, field, n):
+    while True:
+        rows = [[field.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if matrices.rank(rows) == n:
+            return CremonaMap(_linear_forms(field, rows))
+
+
+def _quadratic_map(rng, field, n):
+    # on P^2 and up, one or two components vanish; draws that reduce to a
+    # lower degree are drawn again
+    x = [Polynomial.variable(field, n, v) for v in range(n)]
+    while True:
+        comps = [
+            sum((field.from_int(rng.randint(-2, 2)) * x[rng.randrange(n)] * x[rng.randrange(n)]
+                 for _ in range(3)), Polynomial.zero(field, n))
+            for _ in range(n)
+        ]
+        for k in rng.sample(range(n), min(rng.randint(1, 2), n - 2)):
+            comps[k] = Polynomial.zero(field, n)
+        try:
+            f = CremonaMap(comps)
+        except ZeroMapError:
+            continue
+        if f.degree == 2:
+            return f
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_one_pass_composition_matches_substituting_each_component(field):
+    # the trusted path substitutes all components in one pass and decodes
+    # them monic; the reference substitutes each and reduces by CremonaMap,
+    # and the parent's route, substitute then scale, fixes the term order
+    rng = random.Random(f"one-pass/{field}")
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            f = _quadratic_map(rng, field, n)
+            lin = _invertible_linear_map(rng, field, n)
+            for a, b in ((f, lin), (lin, f)):
+                comps = [c.substitute(list(b.components)) for c in a.components]
+                got = a.compose(b)
+                assert got == CremonaMap(comps)
+                inv = next(c for c in comps if c).leading_coefficient().inverse()
+                assert [list(c.terms.items()) for c in got.components] == [
+                    list((c * inv).terms.items()) for c in comps
+                ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_composing_with_a_linear_map_encodes_it_once_and_decodes_monic(field, monkeypatch):
+    f = parse_map("P^3: [x0^2 + x1^2 + 3*x1*x2 : x0*x1 : 0 : 2*x1*x3 - x2^2]", field)
+    lin = parse_map("P^3: [x0 + x1 : 2*x0 + x1 - x2 : x2 + x3 : x3]", field)
+    encoded = _spy(monkeypatch, poly, "_encode_terms")
+    spies = {}
+    for cls, name in ((type(field), "_encode"), (type(field), "_decode"),
+                      (Scalar, "__mul__"), (Scalar, "__rmul__"), (Scalar, "inverse")):
+        spies[name] = _spy(monkeypatch, cls, name)
+    h = f.compose(lin)
+    for c in lin.components:
+        assert sum(args[1] is c.terms for args in encoded) == 1
+    assert len(spies["_encode"]) == len(encoded) == len(lin.components) + sum(1 for c in f.components if c)
+    assert len(spies["_decode"]) == sum(1 for c in h.components if c) == 3
+    assert spies["__mul__"] == spies["__rmul__"] == spies["inverse"] == []
 
 
 @pytest.mark.parametrize("f, g", [

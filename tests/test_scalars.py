@@ -59,6 +59,19 @@ def test_inverse(a):
         assert a ** -2 == (a.inverse()) ** 2
 
 
+five_fields = st.sampled_from([QQ, QI, GF(101), GF(2), GF(3)])
+
+
+@given(five_fields.flatmap(lambda k: st.tuples(st.lists(any_scalar(k), max_size=6), any_scalar(k))))
+def test_raw_scaling_divides_by_the_scalar(case):
+    # _over is how a map is made monic; it must agree with Scalar arithmetic
+    cs, lc = case
+    if lc:
+        out = lc.field._over(cs, lc)
+        assert out == [c * lc.inverse() for c in cs]
+        assert all(o.field is lc.field for o in out)
+
+
 def test_division_by_zero():
     with pytest.raises(DivisionByZeroError):
         QQ.zero().inverse()
