@@ -106,7 +106,12 @@ class CremonaMap:
             reduced = degree > g.total_degree
         if not reduced:
             raise ZeroMapError("map reduces to a constant tuple")
-        self._store(_monic(comps), rank)
+        lead = next(c for c in comps if not c.is_zero)
+        lc = lead.leading_coefficient()
+        if lc != 1:
+            inv = lc.inverse()
+            comps = [c * inv for c in comps]
+        self._store(comps, rank)
 
     @classmethod
     def _trusted(cls, comps):
@@ -188,22 +193,21 @@ class CremonaMap:
                 f"a composition of degree {degree} on P^{self.dim} may have {terms} terms"
                 f" per component, over the limit of {_MAX_COMPOSE_TERMS}"
             )
-        subs = list(other.components)
-        if other._is_automorphism() or self._is_automorphism():
-            # one pass over all components, which cannot all vanish; each
-            # coefficient is decoded once, over the raw leading coefficient
-            # of the first nonzero component, so the result comes out monic
-            raws, _ = _substitute_raw(self.components, subs)
-            lead = next(r for r in raws if r)
-            lc = lead[min(lead, key=_heap_key)]
-            field, m = self.field, len(subs)
-            return CremonaMap._trusted(
-                [Polynomial._raw(field, m, _decode_terms(field, r, lc) if r else {}) for r in raws]
-            )
-        comps = [c.substitute(subs) for c in self.components]
-        if all(c.is_zero for c in comps):
+        # one pass over all components: other is encoded once and every
+        # component comes out over one denominator.  Next to an invertible
+        # linear factor each coefficient is decoded over the raw leading
+        # coefficient of the first nonzero component instead, so the result
+        # comes out monic and needs no reduction
+        raws, den = _substitute_raw(self.components, list(other.components))
+        if not any(raws):
             raise ZeroMapError("composition vanishes identically")
-        return CremonaMap(comps)
+        trusted = other._is_automorphism() or self._is_automorphism()
+        if trusted:
+            lead = next(r for r in raws if r)
+            den = lead[min(lead, key=_heap_key)]
+        field, m = self.field, len(raws)
+        comps = [Polynomial._raw(field, m, _decode_terms(field, r, den) if r else {}) for r in raws]
+        return CremonaMap._trusted(comps) if trusted else CremonaMap(comps)
 
     def apply(self, point):
         if not isinstance(point, ProjPoint) or point.field != self.field:
@@ -265,19 +269,6 @@ class CremonaMap:
 
     def __repr__(self):
         return f"CremonaMap({self.field}, {self})"
-
-
-def _monic(comps):
-    """comps scaled so that the first nonzero one is monic."""
-    lead = next(c for c in comps if not c.is_zero)
-    lc = lead.leading_coefficient()
-    if lc == 1:
-        return comps
-    field = lead.field
-    return [
-        Polynomial._raw(field, c.nvars, dict(zip(c.terms, field._over(c.terms.values(), lc))))
-        for c in comps
-    ]
 
 
 def _linear_rank(comps):

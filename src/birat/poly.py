@@ -223,9 +223,12 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
             c = other if isinstance(other, Scalar) else self.field.from_int(other)
-            if c.field != self.field:
-                raise FieldMismatchError(f"{self.field} vs {c.field}")
-            return Polynomial._raw(self.field, self.nvars, _kernels.scale_terms(self.terms, c))
+            field = self.field
+            if c.field != field:
+                raise FieldMismatchError(f"{field} vs {c.field}")
+            if not c:
+                return Polynomial.zero(field, self.nvars)
+            return Polynomial._raw(field, self.nvars, dict(zip(self.terms, field._scale(self.terms.values(), c))))
         if isinstance(other, Polynomial):
             self._check_compatible(other)
             field = self.field

@@ -170,19 +170,20 @@ class FieldSpec:
             den = den.re * den.re + den.im * den.im
         return [Scalar(self, (Fraction(r.re, den), Fraction(r.im, den))) for r in raws]
 
-    def _over(self, scalars, d):
-        """The Scalars s/d for s in scalars; d is a nonzero Scalar."""
+    def _scale(self, scalars, c):
+        """The Scalars s*c for s in scalars; c is a nonzero Scalar.
+
+        What Scalar.__mul__ computes, on the payloads, with no Scalar
+        product per term: none of the products vanishes.
+        """
+        v = c.value
         if self.kind is FieldKind.PRIME_FIELD:
             p = self.modulus
-            inv = pow(d.value, -1, p)
-            return [Scalar(self, s.value * inv % p) for s in scalars]
+            return [Scalar(self, s.value * v % p) for s in scalars]
         if self.kind is FieldKind.RATIONAL:
-            dv = d.value
-            return [Scalar(self, s.value / dv) for s in scalars]
-        a, b = d.value
-        n = a * a + b * b
-        c, e = a / n, -b / n
-        return [Scalar(self, (x * c - y * e, x * e + y * c)) for x, y in (s.value for s in scalars)]
+            return [Scalar(self, s.value * v) for s in scalars]
+        c, d = v
+        return [Scalar(self, (a * c - b * d, a * d + b * c)) for a, b in (s.value for s in scalars)]
 
     def _raw_int(self, n):
         """The raw value of the integer n."""

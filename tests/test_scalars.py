@@ -13,7 +13,7 @@ from birat.errors import (
     FieldMismatchError,
     ParseError,
 )
-from birat.poly import parse_scalar
+from birat.poly import Polynomial, parse_scalar
 from birat.scalars import (
     GF,
     QI,
@@ -63,13 +63,17 @@ five_fields = st.sampled_from([QQ, QI, GF(101), GF(2), GF(3)])
 
 
 @given(five_fields.flatmap(lambda k: st.tuples(st.lists(any_scalar(k), max_size=6), any_scalar(k))))
-def test_raw_scaling_divides_by_the_scalar(case):
-    # _over is how a map is made monic; it must agree with Scalar arithmetic
-    cs, lc = case
-    if lc:
-        out = lc.field._over(cs, lc)
-        assert out == [c * lc.inverse() for c in cs]
-        assert all(o.field is lc.field for o in out)
+def test_raw_scaling_multiplies_by_the_scalar(case):
+    # a Polynomial times a Scalar, as maps and rational functions are made
+    # monic, scales the payloads (FieldSpec._scale); it must agree with
+    # Scalar arithmetic
+    cs, s = case
+    f = Polynomial(s.field, 1, {(k,): c for k, c in enumerate(cs)})
+    for d in (s, s.inverse()) if s else (s,):
+        out = f * d
+        assert out.terms == {e: c * d for e, c in f.terms.items() if c * d}
+        assert all(c.field is s.field for c in out.terms.values())
+    assert f * 3 == 3 * f == f * s.field.from_int(3)
 
 
 def test_division_by_zero():
