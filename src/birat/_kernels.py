@@ -1,11 +1,11 @@
 """Term-dict kernels: the inner loops of polynomial arithmetic.
 
-A term dict maps an exponent tuple to a nonzero coefficient; coefficients
-only need +, * and truthiness, so these kernels are shared by every field,
-and by the raw values (ints, Gaussian integers) that poly.py runs them on.
+A term dict maps a monomial key to a nonzero coefficient; coefficients only
+need +, * and truthiness, so these kernels are shared by every field, and by
+the raw values (ints, Gaussian integers) that poly.py runs them on.  The keys
+of mul_terms are packed monomials (poly._Monomials), ints whose sum is the
+key of the product; add_terms and scale_terms take any hashable keys.
 """
-
-from operator import add as _add
 
 
 def mul_terms(a, b):
@@ -16,7 +16,7 @@ def mul_terms(a, b):
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(map(_add, ea, eb))
+            key = ea + eb
             prev = get(key)
             out[key] = ca * cb if prev is None else prev + ca * cb
     return {k: v for k, v in out.items() if v}

@@ -43,6 +43,7 @@ from .poly import (
     _decode_terms,
     _gcd_cofactors,
     _heap_key,
+    _monomial_str,
     _poly_str,
     _powers_at,
     _substitute_raw,
@@ -198,15 +199,15 @@ class CremonaMap:
         # linear factor each coefficient is decoded over the raw leading
         # coefficient of the first nonzero component instead, so the result
         # comes out monic and needs no reduction
-        raws, den = _substitute_raw(self.components, list(other.components))
+        raws, den, monos = _substitute_raw(self.components, list(other.components))
         if not any(raws):
             raise ZeroMapError("composition vanishes identically")
         trusted = other._is_automorphism() or self._is_automorphism()
         if trusted:
             lead = next(r for r in raws if r)
-            den = lead[min(lead, key=_heap_key)]
+            den = lead[monos.lead(lead)]
         field, m = self.field, len(raws)
-        comps = [Polynomial._raw(field, m, _decode_terms(field, r, den) if r else {}) for r in raws]
+        comps = [Polynomial._raw(field, m, _decode_terms(field, r, den, monos) if r else {}) for r in raws]
         return CremonaMap._trusted(comps) if trusted else CremonaMap(comps)
 
     def apply(self, point):
@@ -387,6 +388,8 @@ def parse_map(text, field):
 
 
 def map_str(f):
-    monomials = {}
-    comps = " : ".join(_poly_str(c, 0, monomials) for c in f.components)
+    # the components share most of their monomials: one sort and one text each
+    order = sorted(set().union(*(c.terms for c in f.components)), key=_heap_key)
+    monomials = {e: _monomial_str(e, 0) for e in order}
+    comps = " : ".join(_poly_str(c, order, monomials) for c in f.components)
     return f"P^{f.dim}: [{comps}]"

@@ -15,7 +15,7 @@ import heapq
 import itertools
 import random
 import re
-from operator import add, sub
+from operator import lshift, or_, sub
 
 from . import _kernels, _modular
 from .errors import (
@@ -24,6 +24,7 @@ from .errors import (
     DivisionByZeroError,
     FieldMismatchError,
     InexactDivisionError,
+    LimitExceededError,
     ParseError,
     PoleAtPointError,
     PreconditionError,
@@ -32,21 +33,87 @@ from .scalars import FieldKind, Scalar, _square_and_multiply
 
 
 # ---------------------------------------------------------------------------
-# raw field values (FieldSpec._encode): what products and substitutions run on
+# raw field values (FieldSpec._encode) under packed monomials: what products,
+# substitutions and exact divisions run on
 #
 # The kernels need nothing of a coefficient but +, * and truthiness, so they
 # run on raw values as they are; over F_p each kernel's output is reduced
 # mod p again, so that the ints do not grow across a run.
+#
+# Under a bound on every exponent, the exponent tuple e of n variables packs
+# into one int with e[v] in field v, counted from the low end, so the key of
+# a product of monomials is the sum of their keys.  While the bound is below
+# 128 the fields are bytes, which int.from_bytes and int.to_bytes pack and
+# unpack in C; above it each field is as wide as the bound needs.  Either way
+# the top bit of every field stays clear, a guard that exact_div reads to find
+# a field that went negative.
 
 
-def _encode_terms(field, terms, den, weights=None):
-    """The raw term dict of den * terms."""
-    return dict(zip(terms, field._encode(terms.values(), den, weights)))
+class _Monomials:
+    """Packed keys of n-variable monomials whose exponents are at most bound.
+
+    Graded keys carry the total degree in one more field on top, so that
+    int order on them is a graded monomial order.  One instance lives for
+    one call; a shared one unpacks each key once, however many of the term
+    dicts that it decodes hold it.
+    """
+
+    __slots__ = ("n", "width", "graded", "seen")
+
+    def __init__(self, n, bound, graded=False, shared=False):
+        self.n = n
+        self.width = 8 if bound < 128 else bound.bit_length() + 1
+        self.graded = graded
+        self.seen = {} if shared else None
+
+    def pack(self, monomials):
+        """The keys of the exponent tuples in monomials (a dict or a list)."""
+        w = self.width
+        if w == 8:
+            keys = map(int.from_bytes, map(bytes, monomials), itertools.repeat("little"))
+        else:
+            keys = [sum(k << w * v for v, k in enumerate(e)) for e in monomials]
+        if self.graded:
+            keys = map(or_, keys, map(lshift, map(sum, monomials), itertools.repeat(w * self.n)))
+        return keys
+
+    def unpack(self, keys):
+        """The exponent tuples of keys (a dict or a set), which carry no degree."""
+        seen = self.seen
+        if seen is None:
+            return self._tuples(keys)
+        new = set(keys).difference(seen) if seen else keys
+        seen.update(zip(new, self._tuples(new)))
+        return map(seen.__getitem__, keys)
+
+    def lead(self, keys):
+        """The key of the grevlex-largest of monomials of one degree.
+
+        It is the least: the last variable's field is the most significant.
+        """
+        return min(keys)
+
+    def _tuples(self, keys):
+        n, w = self.n, self.width
+        if w == 8:
+            return [tuple(k.to_bytes(n, "little")) for k in keys]
+        mask = (1 << w) - 1
+        return [tuple(k >> w * v & mask for v in range(n)) for k in keys]
 
 
-def _decode_terms(field, raw, den):
-    """The Scalar term dict of raw / den; raw holds no zero."""
-    return dict(zip(raw, field._decode(raw.values(), den)))
+def _encode_terms(field, terms, den, monos=None, weights=None):
+    """The raw term dict of den * terms, its keys packed by monos if given."""
+    raw = field._encode(terms.values(), den, weights)
+    return dict(zip(terms if monos is None else monos.pack(terms), raw))
+
+
+def _decode_terms(field, raw, den, monos=None):
+    """The Scalar term dict of raw / den, its keys unpacked by monos if given.
+
+    raw holds no zero.
+    """
+    keys = raw if monos is None else monos.unpack(raw)
+    return dict(zip(keys, field._decode(raw.values(), den)))
 
 
 def _raw_kernels(field):
@@ -158,7 +225,7 @@ class Polynomial:
         """Total degree, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def degree_in(self, v):
         if not self.terms:
@@ -231,12 +298,18 @@ class Polynomial:
             return Polynomial._raw(field, self.nvars, dict(zip(self.terms, field._scale(self.terms.values(), c))))
         if isinstance(other, Polynomial):
             self._check_compatible(other)
+            if not (self.terms and other.terms):
+                return Polynomial.zero(self.field, self.nvars)
             field = self.field
+            monos = _Monomials(self.nvars, self.total_degree + other.total_degree)
             da = field._den(self.terms.values())
             db = field._den(other.terms.values())
             mul = _raw_kernels(field)[0]
-            raw = mul(_encode_terms(field, self.terms, da), _encode_terms(field, other.terms, db))
-            return Polynomial._raw(field, self.nvars, _decode_terms(field, raw, da * db))
+            raw = mul(
+                _encode_terms(field, self.terms, da, monos),
+                _encode_terms(field, other.terms, db, monos),
+            )
+            return Polynomial._raw(field, self.nvars, _decode_terms(field, raw, da * db, monos))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -294,8 +367,8 @@ class Polynomial:
                 raise ArityMismatchError("substituted polynomials disagree on arity")
         if not self.terms:
             return Polynomial.zero(field, m)
-        (raw,), den = _substitute_raw([self], polys)
-        return Polynomial._raw(field, m, _decode_terms(field, raw, den))
+        (raw,), den, monos = _substitute_raw([self], polys)
+        return Polynomial._raw(field, m, _decode_terms(field, raw, den, monos))
 
     def derivative(self, v):
         if not 0 <= v < self.nvars:
@@ -358,12 +431,12 @@ class Polynomial:
 def _substitute_raw(fs, polys):
     """The raw term dicts of every f(polys) for f in fs, over one denominator.
 
-    Returns (raws, den): raws[k] / den is fs[k] with polys[v] put for
-    variable v.  fs share a field and an arity, len(polys) of them, and
-    the polys are nonempty, in that field and of one arity.  Horner's rule
-    in one variable after another: each step multiplies by one substituted
-    polynomial, or a power of it cached across all of fs, never by a
-    product of several powers.  The polys are encoded once: with D their
+    Returns (raws, den, monos): raws[k] / den is fs[k] with polys[v] put for
+    variable v, its monomials packed by the _Monomials monos.  fs share a
+    field and an arity, len(polys) of them, and the polys are in that field
+    and of one arity.  Horner's rule in one variable after another: each
+    step multiplies by one substituted polynomial, or a power of it cached
+    across all of fs, never by a product of several powers.  The polys are encoded once: with D their
     common denominator, E that of all of fs and N the largest total degree
     in fs, the term c*x^e enters as the integer E*c*D^(N-|e|) and the
     substituted polys as D*polys[v], so every sum comes out over E*D^N,
@@ -376,9 +449,12 @@ def _substitute_raw(fs, polys):
     for _ in range(top):
         dpow.append(dpow[-1] * den)
     fden = field._den([c for f in fs for c in f.terms.values()])
-    pows = [{1: _encode_terms(field, g.terms, den)} for g in polys]
+    # no exponent of a result, nor of polys, passes top (or 1) times the
+    # largest degree in polys
+    bound = max(top, 1) * max(g.total_degree or 0 for g in polys)
+    monos = _Monomials(polys[0].nvars, bound, shared=len(fs) > 1)
+    pows = [{1: _encode_terms(field, g.terms, den, monos)} for g in polys]
     mul, add, _ = _raw_kernels(field)
-    one = (0,) * polys[0].nvars
     nvars = len(polys)
 
     def power(v, k):
@@ -389,7 +465,7 @@ def _substitute_raw(fs, polys):
     def horner(terms, v):
         # sum of c * prod polys[v + j]^e[j] over terms {e: c}
         if v == nvars:
-            return {one: terms[()]}
+            return {0: terms[()]}
         groups = {}
         for e, c in terms.items():
             groups.setdefault(e[0], {})[e[1:]] = c
@@ -402,12 +478,12 @@ def _substitute_raw(fs, polys):
         return acc
 
     raws = [
-        horner(_encode_terms(field, f.terms, fden, [dpow[top - sum(e)] for e in f.terms]), 0)
+        horner(_encode_terms(field, f.terms, fden, None, [dpow[top - sum(e)] for e in f.terms]), 0)
         if f.terms
         else {}
         for f in fs
     ]
-    return raws, fden * dpow[top]
+    return raws, fden * dpow[top], monos
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +571,13 @@ def exact_div(a, b):
 
     The remainder's monomials wait in a heap, so each quotient term costs
     one pop and the updates of its product with b (Monagan and Pearce, J.
-    Symb. Comp. 46, 2011, keep products in the heap instead).
+    Symb. Comp. 46, 2011, keep products in the heap instead).  The heap
+    holds negated graded packed keys (_Monomials), whose int order is a
+    graded monomial order: no remainder monomial passes the degree of a, so
+    none outgrows its fields.  The lead monomial of b divides a remainder
+    monomial e unless e - lead is negative or sets a field's guard bit.  An
+    exact quotient is the same in every monomial order, so this one's lead
+    serves as well as grevlex's.
 
     The loop runs on raw values.  Over F_p they are residues, and each
     quotient term is a product with the inverse of lc(b).  Over Q and Q(i)
@@ -515,49 +597,55 @@ def exact_div(a, b):
     if b.is_constant:
         return a * b.constant_term().inverse()
     field = a.field
-    rem, da, ca = _primitive_terms(field, a.terms)
-    rb, db, cb = _primitive_terms(field, b.terms)
-    lt_e = b.leading_term()[0]
-    quotient = field._divider(rb[lt_e], check=True)
-    tail = [(e, -c) for e, c in rb.items() if e != lt_e]
-    heap = [(_heap_key(e), e) for e in rem]
+    monos = _Monomials(a.nvars, max(a.total_degree, b.total_degree), graded=True)
+    rem, da, ca = _primitive_terms(field, a.terms, monos)
+    rb, db, cb = _primitive_terms(field, b.terms, monos)
+    lead = max(rb)
+    quotient = field._divider(rb.pop(lead), check=True)
+    tail = [(e, -c) for e, c in rb.items()]
+    w = monos.width
+    low = (1 << w * a.nvars) - 1
+    # bit w - 1 of every field below the degree's
+    guard = low // ((1 << w) - 1) << w - 1
+    heap = [-e for e in rem]
     heapq.heapify(heap)
     quo = {}
     # every product term lies below the popped monomial, so each monomial
     # enters the heap once and leaves it once; a cancelled one leaves as 0
     while heap:
-        e = heapq.heappop(heap)[1]
+        e = -heapq.heappop(heap)
         q = quotient(rem.pop(e))
         if q is None:
             raise InexactDivisionError("division leaves a nonzero remainder")
         if not q:
             continue
-        d = tuple(map(sub, e, lt_e))
-        if min(d) < 0:
+        d = e - lead
+        if d < 0 or d & guard:
             raise InexactDivisionError("division leaves a nonzero remainder")
-        quo[d] = q
+        quo[d & low] = q
         for eb, x in tail:
-            k = tuple(map(add, d, eb))
+            k = d + eb
             prev = rem.get(k)
             if prev is None:
                 rem[k] = q * x
-                heapq.heappush(heap, (_heap_key(k), k))
+                heapq.heappush(heap, -k)
             else:
                 rem[k] = prev + q * x
     num = ca * field._raw_int(db)
     if num != 1:
         quo = {e: q * num for e, q in quo.items()}
-    return Polynomial._raw(field, a.nvars, _decode_terms(field, quo, cb * field._raw_int(da)))
+    return Polynomial._raw(field, a.nvars, _decode_terms(field, quo, cb * field._raw_int(da), monos))
 
 
-def _primitive_terms(field, terms):
+def _primitive_terms(field, terms, monos):
     """(raw, den, content): terms = content * raw / den, raw primitive.
 
     raw is den * terms, encoded (FieldSpec._encode), over the least common
-    denominator den, and divided by its content (FieldSpec._content).
+    denominator den, and divided by its content (FieldSpec._content); its
+    keys are packed by monos.
     """
     den = field._den(terms.values())
-    raw = _encode_terms(field, terms, den)
+    raw = _encode_terms(field, terms, den, monos)
     c = field._content(raw.values())
     if c != 1:
         div = field._divider(c)
@@ -1199,6 +1287,13 @@ def _tokenize(text):
     return tokens
 
 
+# Python prints no int of more digits (sys.set_int_max_str_digits' default),
+# and the tokenizer reads none: a power or product of literals that reaches
+# _LITERAL_CAP is refused, before a power is computed
+_LITERAL_DIGITS = 4300
+_LITERAL_CAP = 10**_LITERAL_DIGITS
+
+
 class _PolyParser:
     """Recursive descent that folds a sum into one term dict, term by term.
 
@@ -1206,7 +1301,8 @@ class _PolyParser:
     its nonconstant parenthesised factors, if any; only those cost
     polynomial products.  The term's integer literals multiply into an int
     numerator and denominator, which become one Scalar per term; only i
-    and parenthesised constants cost Scalar arithmetic.
+    and parenthesised constants cost Scalar arithmetic.  Over F_p those
+    ints are reduced mod p; over Q and Q(i) they stay below _LITERAL_CAP.
     """
 
     def __init__(self, tokens, field, nvars, offset):
@@ -1261,11 +1357,11 @@ class _PolyParser:
             f = self.factor()
             if isinstance(f, int):
                 if not divide:
-                    num *= f
+                    num = self.literal(num * f)
                 elif not f or (self.modulus and not f % self.modulus):
                     raise ParseError("division by zero in literal")
                 else:
-                    den *= f
+                    den = self.literal(den * f)
             elif isinstance(f, tuple):
                 if divide and f[1]:
                     raise ParseError("division only by constants")
@@ -1290,6 +1386,14 @@ class _PolyParser:
                 lit = self.field.from_fraction(num, den)
                 return (lit if c is None else lit * c), exps, group
 
+    def literal(self, n):
+        # a product of literals, each below _LITERAL_CAP or a power below its square
+        if self.modulus:
+            return n % self.modulus
+        if abs(n) >= _LITERAL_CAP:
+            raise LimitExceededError(f"a literal product passes {_LITERAL_DIGITS} digits")
+        return n
+
     def factor(self):
         # an int literal, a Scalar, a variable power (slot, k) or a
         # nonconstant Polynomial
@@ -1303,7 +1407,13 @@ class _PolyParser:
             if isinstance(f, tuple):
                 f = (f[0], k)
             elif isinstance(f, int):
-                f = pow(f, k, self.modulus) if self.modulus else f**k
+                if self.modulus:
+                    f = pow(f, k, self.modulus)
+                elif (f.bit_length() - 1) * k >= _LITERAL_CAP.bit_length():
+                    # f^k >= 2^((bits - 1)*k)
+                    raise LimitExceededError(f"a literal power passes {_LITERAL_DIGITS} digits")
+                else:
+                    f = f**k
             else:
                 f = f**k
         return f
@@ -1400,27 +1510,27 @@ def parse_scalar(text, field):
 
 
 def poly_str(p, offset=0):
-    return _poly_str(p, offset, {})
+    order = sorted(p.terms, key=_heap_key)
+    return _poly_str(p, order, {e: _monomial_str(e, offset) for e in order})
 
 
-def _poly_str(p, offset, monomials):
-    """poly_str, taking each monomial's text from monomials, filled as met.
+def _monomial_str(exps, offset):
+    return "*".join(f"x{v + offset}" if k == 1 else f"x{v + offset}^{k}" for v, k in enumerate(exps) if k)
 
-    map_str passes one dict to all components of a map, which share their
-    monomials.
+
+def _poly_str(p, order, monomials):
+    """poly_str of p, given its monomials in grevlex order and their texts.
+
+    order may hold more monomials than p's, and monomials maps each to its
+    text: map_str sorts the monomials of all components of a map once.
     """
     if p.is_zero:
         return "0"
+    terms = p.terms
+    order = [e for e in order if e in terms]
     out = []
-    for exps in sorted(p.terms, key=_heap_key):
-        mono = monomials.get(exps)
-        if mono is None:
-            mono = monomials[exps] = "*".join(
-                f"x{v + offset}" if k == 1 else f"x{v + offset}^{k}"
-                for v, k in enumerate(exps)
-                if k
-            )
-        neg, cs = p.terms[exps]._sign_split()
+    for e, (neg, cs) in zip(order, p.field._sum_texts([terms[e] for e in order])):
+        mono = monomials[e]
         if mono and cs == "1":
             body = mono
         else:

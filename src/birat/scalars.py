@@ -240,6 +240,30 @@ class FieldSpec:
 
         return divide_gaussian
 
+    def _sum_texts(self, scalars):
+        """(negative, text) per scalar: a sum prints it as its sign, then text.
+
+        text is that of -s where negative, and parenthesised where s has
+        both a real and an imaginary part; it is "1" only for 1.
+        """
+        if self.kind is FieldKind.PRIME_FIELD:
+            return [(False, str(s.value)) for s in scalars]
+        out = []
+        if self.kind is FieldKind.RATIONAL:
+            for s in scalars:
+                text = str(s.value)
+                out.append((True, text[1:]) if text[0] == "-" else (False, text))
+            return out
+        for s in scalars:
+            re, im = s.value
+            if re and im:
+                out.append((False, f"({s})"))
+            elif (re or im) < 0:
+                out.append((True, str(-s)))
+            else:
+                out.append((False, str(s)))
+        return out
+
     def __str__(self):
         if self.kind is FieldKind.PRIME_FIELD:
             return f"F{self.modulus}"
@@ -474,22 +498,6 @@ class Scalar:
                 return istr
             return f"{re}+{istr}" if im > 0 else f"{re}{istr}"
         return str(self.value)
-
-    def _sign_split(self):
-        """(negative, text): a sum prints this coefficient as its sign, then text.
-
-        text is that of -self where negative, and parenthesised where self
-        has both a real and an imaginary part; it is "1" only for 1.
-        """
-        if self.field.kind is FieldKind.GAUSSIAN_RATIONAL:
-            re, im = self.value
-            if re and im:
-                return False, f"({self})"
-            if (re or im) < 0:
-                return True, str(-self)
-            return False, str(self)
-        text = str(self.value)
-        return (True, text[1:]) if text[0] == "-" else (False, text)
 
     def __repr__(self):
         return f"Scalar({self.field}, {self})"

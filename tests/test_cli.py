@@ -103,6 +103,39 @@ def test_an_integer_literal_past_the_digit_limit_is_a_parse_error(capsys, outer)
     assert err.startswith("PARSE_ERROR")
 
 
+def test_a_huge_power_of_a_literal_is_refused_before_it_is_computed(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "P^2: [2^7569131557543087404*x0 : x1 : x2]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "LIMIT_EXCEEDED: a literal power passes 4300 digits"
+
+
+def test_a_product_of_literals_past_the_digit_limit_is_refused(capsys):
+    # each literal parses, but their product could not be printed
+    big = "7" * 3000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compose", f"P^2: [{big} {big}*x0 + x1 : x1 : x2]", "P^2: [x0 : x1 : x2]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "LIMIT_EXCEEDED: a literal product passes 4300 digits"
+
+
+@pytest.mark.parametrize("argv, printed", [
+    # 2^14284 has 4300 digits, the most that prints
+    (["degree", "P^2: [2^14284*x0 : x1 : x2]"], "1"),
+    # over F_p literals are reduced as they multiply: 77...79 = 2 mod 101
+    (["compose", "--field", "Fp:101", "P^2: [x1 : " + "7" * 2999 + "9*" + "7" * 2999 + "9*x0 : x2]",
+      "P^2: [x0 : x1 : x2]"], "P^2: [x1 : 4*x0 : x2]"),
+])
+def test_literals_within_the_digit_limit_parse(capsys, argv, printed):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip() == printed
+
+
 def test_field_option(capsys):
     code, out, _ = run(capsys, "apply", "--field", "Fp:5", SIGMA, "[1:2:3]")
     assert code == 0

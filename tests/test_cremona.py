@@ -31,8 +31,8 @@ from birat.linear import (
     parse_matrix,
     parse_point,
 )
-from birat.poly import Polynomial, RationalFunction, jacobian, parse_poly
-from birat.scalars import GF, QQ
+from birat.poly import Polynomial, RationalFunction, jacobian, parse_poly, poly_str
+from birat.scalars import GF, QI, QQ
 
 
 def mp(text, field=QQ):
@@ -301,3 +301,35 @@ def test_finite_field_involution():
     F5 = GF(5)
     s = standard_involution(F5)
     assert s.compose(s) == CremonaMap.identity(F5, 2)
+
+
+@pytest.mark.parametrize("field, text, printed", [
+    # shared and disjoint monomials
+    (QQ, "P^2: [x0^2 + x1*x2 : x0*x1 - 3/2*x0*x2 : -x2^2 + x1^2]",
+     "P^2: [x0^2 + x1*x2 : x0*x1 - 3/2*x0*x2 : x1^2 - x2^2]"),
+    # zero components and components that open with a minus sign
+    (QQ, "P^3: [0 : x0*x1 - 1/2*x2^2 : -x0^2 : x3^2 - x0*x3]",
+     "P^3: [0 : x0*x1 - 1/2*x2^2 : -x0^2 : -x0*x3 + x3^2]"),
+    (GF(101), "P^2: [-x0^3 + 5*x1^3 : 0 : x0*x1*x2]", "P^2: [x0^3 + 96*x1^3 : 0 : 100*x0*x1*x2]"),
+    (GF(2), "P^2: [x0^2 + x1*x2 : x0*x1 + x2^2 : x1^2]", "P^2: [x0^2 + x1*x2 : x0*x1 + x2^2 : x1^2]"),
+    # Gaussian coefficients with a real and an imaginary part, or one of them
+    (QI, "P^2: [(1+i)*x0^2 - i*x1*x2 + 3*x1^2 : (2-3*i)*x0*x1 + x2^2 - 1/2*x0^2"
+         " : -i*x0^2 + (1/2+i)*x1^2 + (-1-i)*x2^2]",
+     "P^2: [x0^2 + (3/2-3/2i)*x1^2 + (-1/2-1/2i)*x1*x2 : (-1/4+1/4i)*x0^2 + (-1/2-5/2i)*x0*x1"
+     " + (1/2-1/2i)*x2^2 : (-1/2-1/2i)*x0^2 + (3/4+1/4i)*x1^2 - x2^2]"),
+    (QI, "P^2: [-x0 : i*x1 : (-2/3)*i*x2 + x0]", "P^2: [x0 : -i*x1 : -x0 + 2/3i*x2]"),
+], ids=["shared", "zero", "F101", "F2", "Qi-mixed", "Qi-parts"])
+def test_map_str_joins_the_printed_components(field, text, printed):
+    f = parse_map(text, field)
+    assert map_str(f) == printed
+    assert map_str(f) == f"P^{f.dim}: [" + " : ".join(poly_str(c) for c in f.components) + "]"
+    assert parse_map(printed, field) == f
+
+
+def test_map_str_of_seeded_maps_joins_the_printed_components():
+    rng = random.Random("map-str")
+    for field in (QQ, QI, GF(101), GF(3)):
+        for d in (2, 3):
+            for make in (suites.corpus_positive_map, suites.corpus_base_point_map, suites.corpus_pole_map):
+                f = make(rng, field, d, 4)
+                assert map_str(f) == f"P^{d}: [" + " : ".join(poly_str(c) for c in f.components) + "]"

@@ -5,6 +5,7 @@ import heapq
 import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -13,13 +14,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from birat import _modular, poly
 from birat.cli import main
 from birat.cremona import CremonaMap, parse_map, standard_involution
 from birat.errors import (
     ArityMismatchError,
+    BiratError,
     DegreeMismatchError,
     InexactDivisionError,
     ParseError,
@@ -1119,3 +1121,217 @@ def test_p4_involution_pair_composes_within_its_gate():
         assert fg.apply(pt) == f.apply(q)
         checked += 1
     assert elapsed < P4_COMPOSE_GATE_S
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against a naive tuple-dict reference
+#
+# Byte fields serve bounds below 128 and wider fields the rest, so exponents
+# 127 and 128, 255 and 256 sit at the edges of both, and 1000 far past them.
+
+_PACKING_EXPONENTS = [0, 1, 2, 127, 128, 255, 256, 1000]
+
+
+def _naive_mul(f, g):
+    out = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out[e] + ca * cb if e in out else ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _naive_substitute(f, gs, m):
+    out = {}
+    for exps, c in f.items():
+        t = {(0,) * m: c}
+        for g, k in zip(gs, exps):
+            for _ in range(k):
+                t = _naive_mul(t, g)
+        for e, d in t.items():
+            out[e] = out[e] + d if e in out else d
+    return {e: d for e, d in out.items() if d}
+
+
+def _naive_div(a, b):
+    # long division in grevlex order, one leading term at a time
+    def order(e):
+        return sum(e), tuple(-x for x in reversed(e))
+
+    lead = max(b, key=order)
+    inv = b[lead].inverse()
+    rem, quo = dict(a), {}
+    while rem:
+        e = max(rem, key=order)
+        d = tuple(x - y for x, y in zip(e, lead))
+        if min(d) < 0:
+            raise InexactDivisionError("division leaves a nonzero remainder")
+        q = quo[d] = rem[e] * inv
+        for eb, cb in b.items():
+            k = tuple(x + y for x, y in zip(d, eb))
+            s = rem[k] - q * cb if k in rem else -(q * cb)
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return quo
+
+
+def _naive_outcome(fn):
+    try:
+        return fn()
+    except InexactDivisionError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _packing_coeffs(draw, field):
+    if field.kind is FieldKind.PRIME_FIELD:
+        return field.from_int(draw(st.integers(1, field.modulus - 1)))
+    c = field.from_fraction(draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 9)), draw(st.integers(1, 6)))
+    if field.kind is FieldKind.GAUSSIAN_RATIONAL:
+        c = c + field.from_pair(0, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))))
+    return c
+
+
+@st.composite
+def _packing_polys(draw, field, nvars, max_terms, min_terms=0):
+    pairs = draw(st.lists(
+        st.tuples(st.tuples(*[st.sampled_from(_PACKING_EXPONENTS)] * nvars), _packing_coeffs(field)),
+        min_size=min_terms, max_size=max_terms,
+    ))
+    return Polynomial(field, nvars, dict(pairs))
+
+
+_packing_fields = st.sampled_from(sorted(FIELDS)).map(FIELDS.get)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_products_match_a_naive_reference(data):
+    field = data.draw(_packing_fields)
+    n = data.draw(st.integers(1, 3))
+    f = data.draw(_packing_polys(field, n, 4))
+    g = data.draw(_packing_polys(field, n, 4))
+    assert (f * g).terms == _naive_mul(f.terms, g.terms)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_substitution_matches_a_naive_reference(data):
+    field = data.draw(_packing_fields)
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    f = data.draw(_packing_polys(field, n, 4))
+    gs = []
+    for v in range(n):
+        # a variable raised past 2 takes a monomial or zero, so that no
+        # substituted power has thousands of terms
+        high = any(e[v] > 2 for e in f.terms)
+        gs.append(data.draw(_packing_polys(field, m, 1 if high else 3)))
+    assert f.substitute(gs).terms == _naive_substitute(f.terms, [g.terms for g in gs], m)
+
+
+def _exponents_of_degree(draw, nvars, degree):
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=nvars - 1, max_size=nvars - 1)))
+    return tuple(y - x for x, y in zip([0] + cuts, cuts + [degree]))
+
+
+@st.composite
+def _map_components(draw, field, n, degree, extra):
+    # component v holds c*x_s(v)^degree for a permutation s, and up to extra
+    # more terms, so that the map does not reduce to a constant; where extra
+    # terms are allowed, one component of three may vanish
+    perm = draw(st.permutations(range(n)))
+    zero = draw(st.sampled_from([None, None, None, 0, 1, 2])) if n == 3 and extra else None
+    comps = []
+    for v in range(n):
+        terms = {}
+        if v != zero:
+            terms[tuple(degree if u == perm[v] else 0 for u in range(n))] = draw(_packing_coeffs(field))
+            for _ in range(draw(st.integers(0, extra))):
+                terms[_exponents_of_degree(draw, n, degree)] = draw(_packing_coeffs(field))
+        comps.append(Polynomial(field, n, terms))
+    return comps
+
+
+def _components_or_code(make):
+    try:
+        return list(make().components)
+    except BiratError as e:
+        return e.code
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_composition_matches_a_naive_reference(data):
+    # f of any degree on either side of a linear map L, as in sigma o L:
+    # when L is invertible, compose substitutes and scales, with no gcd
+    field = data.draw(_packing_fields)
+    n = data.draw(st.integers(2, 3))
+    fd = data.draw(st.sampled_from([1, 2, 127, 128, 255, 256, 1000]))
+    comps = data.draw(_map_components(field, n, fd, 2))
+    lc = next(c for c in comps if c).leading_coefficient().inverse()
+    f = CremonaMap._trusted([c * lc for c in comps])
+    try:
+        # past degree 2 L permutes and scales: f o L has few terms, and
+        # neither composition needs a gcd
+        lin = CremonaMap(data.draw(_map_components(field, n, 1, 1 if fd <= 2 else 0)))
+    except BiratError:
+        assume(False)  # L has rank 1
+    for a, b in ((f, lin), (lin, f)):
+        comps = [
+            Polynomial(field, n, _naive_substitute(c.terms, [h.terms for h in b.components], n))
+            for c in a.components
+        ]
+        if lin._is_automorphism():
+            lc = next(c for c in comps if c).leading_coefficient().inverse()
+            expected = [c * lc for c in comps]
+        else:
+            expected = _components_or_code(lambda: CremonaMap(comps))
+        assert _components_or_code(lambda: a.compose(b)) == expected
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_exact_division_matches_a_naive_reference(data):
+    field = data.draw(_packing_fields)
+    n = data.draw(st.integers(1, 3))
+    q = data.draw(_packing_polys(field, n, 3))
+    b = data.draw(_packing_polys(field, n, 3, min_terms=1))
+    a = q * b
+    kind = data.draw(st.sampled_from(["exact", "constant", "monomial"]))
+    if kind == "constant":
+        a = a + 1
+    elif kind == "monomial":
+        # a monomial of b's degree: the division stops soon after q
+        exps = _exponents_of_degree(data.draw, n, b.total_degree)
+        a = a + Polynomial.monomial(field, n, exps, data.draw(_packing_coeffs(field)))
+    expected = _naive_outcome(lambda: _naive_div(a.terms, b.terms))
+    got = _naive_outcome(lambda: exact_div(a, b).terms)
+    assert got == expected
+    if kind == "exact":
+        assert got == q.terms
+    if kind == "constant" and not b.is_constant:
+        assert got == (InexactDivisionError, "division leaves a nonzero remainder")
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("k", [0, 127, 128, 255, 256, 1000])
+def test_packed_keys_hold_the_edge_exponents(name, k):
+    field = FIELDS[name]
+    x0, x1, x2 = (Polynomial.variable(field, 3, v) for v in range(3))
+    f = x0 ** k * x1 + x2 ** k - 2 * x1
+    g = x1 ** k + 3 * x0 * x2 + x2 ** 2
+    assert (f * g).terms == _naive_mul(f.terms, g.terms)
+    assert exact_div(f * g, g) == f
+    assert exact_div(f * g, f) == g
+    gs = [x1, x0 + x2, 2 * x0]
+    assert f.substitute(gs).terms == _naive_substitute(f.terms, [g.terms for g in gs], 3)
+    # x1^(k+1) outranks the lead of b in the graded order, which does not
+    # divide it: only the guard bits see that
+    for b in (x0 ** k + x1, x0 ** k * x1):
+        a = x1 ** k * b + x1 ** (k + 1)
+        expected = _naive_outcome(lambda: _naive_div(a.terms, b.terms))
+        assert _naive_outcome(lambda: exact_div(a, b).terms) == expected
+        if k:
+            assert expected == (InexactDivisionError, "division leaves a nonzero remainder")
