@@ -5,11 +5,12 @@ degree first, no trailing zeros) and sparse dicts {exponent tuple: residue}.
 poly._gcd_pair encodes each operand once (FieldSpec._encode: residues over
 F_p, integers over Q, Gaussian integers over Q(i), over one denominator) and
 takes its images here under the ring maps of _embeddings.  The certificate
-runs _degree_bounds on the first image; the same encodings and bounds then
-feed Brown's dense modular gcd (J. ACM 18, 1971), whose result poly.py
-lifts back.  A prime is used only where both images keep their leading
-monomial.  The names stay private, so a traced run charges this work to the
-gcd's own span.
+restricts the first image to one line (_line_certificate), and only where
+that leaves the gcd undecided runs _degree_bounds on it; the same encodings
+and bounds then feed Brown's dense modular gcd (J. ACM 18, 1971), whose
+result poly.py lifts back.  A prime is used only where both images keep
+their leading monomial.  The names stay private, so a traced run charges
+this work to the gcd's own span.
 """
 
 from __future__ import annotations
@@ -176,17 +177,65 @@ def _degrees(P, n):
 
 
 def _univariate_image(P, v, pw, p):
-    # dense coefficient list of P in variable v, the others set by pw tables
+    # dense coefficient list of P on a line through the point r, r_j^k =
+    # pw[j][k]: along variable v, the others set to r; for v None the
+    # radial line s*r, where a term's degree in s is its total degree
     out = {}
     for e, c in P.items():
         for j, k in enumerate(e):
             if k and j != v:
                 c = c * pw[j][k] % p
-        out[e[v]] = out.get(e[v], 0) + c
+        d = sum(e) if v is None else e[v]
+        out[d] = out.get(d, 0) + c
     f = [0] * (max(out) + 1)
     for k, c in out.items():
         f[k] = c % p
     return f
+
+
+def _power_tables(rng, p, tops):
+    # [1, x, ..., x^top] mod p for a random x per variable, top from tops
+    pw = []
+    for top in tops:
+        x = rng.randrange(p)
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * x % p)
+        pw.append(row)
+    return pw
+
+
+def _line_certificate(A, B, n, p, rng):
+    """True when the gcd of A and B is certainly constant; False: undecided.
+
+    A and B are images in n variables that keep the total degree of the
+    operands, and so of any common factor G.  On a line x = r + s*w, G
+    keeps its degree in s wherever one operand keeps its own, for the top
+    homogeneous part of each operand is a multiple of G's; so a nonconstant
+    G leaves a nonconstant common factor of the two restrictions, and a
+    constant univariate gcd certifies the gcd constant.  Where an operand
+    has a constant term the line is radial, w = r and r = 0, and full degree
+    is checked; otherwise it runs along a variable v whose pure top power
+    x_v^deg an operand holds, where that operand keeps its degree for any r.
+    With neither, s would divide both restrictions of the radial line, and
+    the per-variable bounds decide.
+    """
+    da = max(map(sum, A))
+    db = max(map(sum, B))
+    zero = (0,) * n
+    v = None
+    if zero not in A and zero not in B:
+        for v in range(n):
+            if zero[:v] + (da,) + zero[v + 1:] in A or zero[:v] + (db,) + zero[v + 1:] in B:
+                break
+        else:
+            return False
+    pw = _power_tables(rng, p, [max(da, db)] * n)
+    fa = _univariate_image(A, v, pw, p)
+    fb = _univariate_image(B, v, pw, p)
+    if not ((len(fa) == da + 1 and fa[-1]) or (len(fb) == db + 1 and fb[-1])):
+        return False
+    return len(_u_gcd(fa, fb, p)) == 1
 
 
 def _degree_bounds(A, B, n, p, rng, attempts):
@@ -205,13 +254,7 @@ def _degree_bounds(A, B, n, p, rng, attempts):
         todo = [v for v in range(n) if bounds[v]]
         if not todo:
             break
-        pw = []
-        for j in range(n):
-            x = rng.randrange(p)
-            row = [1]
-            for _ in range(max(da[j], db[j])):
-                row.append(row[-1] * x % p)
-            pw.append(row)
+        pw = _power_tables(rng, p, map(max, da, db))
         for v in todo:
             fa = _univariate_image(A, v, pw, p)
             fb = _univariate_image(B, v, pw, p)

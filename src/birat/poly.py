@@ -684,11 +684,13 @@ def _certificate(a, b):
     """(vs, a's and b's encodings, degree bounds of their gcd in vs).
 
     a and b are not both constant, and vs are the variables they use.  The
-    bounds come from _degree_bounds, two attempts, on the images under the
-    field's first ring map that keeps both leading monomials; points come
-    from a fixed seed, so the outcome is reproducible.  A map that drops a
-    leading monomial, as reducing (p*x + 1)*(x + 2) mod p does, could hide
-    a common factor.  All bounds zero certify the gcd constant.
+    images are those under the field's first ring map that keeps both
+    leading monomials, and so the total degree of every common factor; a
+    map that drops a leading monomial, as reducing (p*x + 1)*(x + 2) mod p
+    does, could hide one.  One line (_line_certificate) settles most
+    coprime pairs, with bounds all zero; where it does not, the bounds come
+    from _degree_bounds, two attempts.  Points come from a fixed seed, so
+    the outcome is reproducible.  All bounds zero certify the gcd constant.
     """
     vs = sorted(a.support_vars() | b.support_vars())
     ea, eb = _encoded(a, vs), _encoded(b, vs)
@@ -698,8 +700,11 @@ def _certificate(a, b):
         B = _modular._image(rb, p, roots[0])
         if lma in A and lmb in B:
             break
-    bounds = _modular._degree_bounds(A, B, len(vs), p, random.Random(_CERT_SEED), 2)
-    return vs, ea, eb, bounds
+    n = len(vs)
+    rng = random.Random(_CERT_SEED)
+    if _modular._line_certificate(A, B, n, p, rng):
+        return vs, ea, eb, [0] * n
+    return vs, ea, eb, _modular._degree_bounds(A, B, n, p, rng, 2)
 
 
 def _coprime_certificate(a, b):
@@ -733,9 +738,11 @@ def _gcd_modular(a, b, vs, ea, eb, bounds):
     keep both leading coefficients; over Q they are combined by CRT and
     rational reconstruction, over Q(i) the two images of i -> +-sqrt(-1)
     give real and imaginary parts first, and over a large F_p one image is
-    the candidate.  A candidate stable under one more prime is accepted once
-    it divides a and b and leaves certified coprime cofactors, which are
-    returned with it.
+    the candidate.  Each new candidate is tried as soon as it is
+    reconstructed; one that fails leaves the primes it came from in the
+    product, and the next prime refines it.  A candidate is accepted once it
+    divides a and b and is certainly the gcd (_verified); the cofactors that
+    verified it are returned with it.
     """
     field = a.field
     kind = field.kind
@@ -782,19 +789,24 @@ def _gcd_modular(a, b, vs, ea, eb, bounds):
             else:
                 acc, modulus = _modular._crt(acc, modulus, residues, p), modulus * p
                 new = _modular._reconstruct(acc, modulus)
-                if new is None or new != cand:
-                    cand = new
-                    continue
-            found = _verified(a, b, new, vs)
+                if new is None or new == cand:
+                    continue  # premature, or failed already
+            found = _verified(a, b, new, vs, bounds)
             if found is not None:
                 return found
-            lead = acc = cand = None
-            modulus = 1
+            if kind is FieldKind.PRIME_FIELD:
+                lead = None
+            cand = new
     return None
 
 
-def _verified(a, b, coeffs, vs):
-    """(g, a/g, b/g) if the candidate g is the gcd of a and b, else None."""
+def _verified(a, b, coeffs, vs, bounds):
+    """(g, a/g, b/g) if the candidate g is the gcd of a and b, else None.
+
+    A g dividing a and b is their gcd where its degree in each variable of
+    vs meets the bound there, for the gcd's cannot pass it; else only where
+    the cofactors are certified coprime.
+    """
     field = a.field
     lift = field.from_pair if field.kind is FieldKind.GAUSSIAN_RATIONAL else field.from_fraction
     terms = {}
@@ -809,7 +821,12 @@ def _verified(a, b, coeffs, vs):
         qb = exact_div(b, g)
     except InexactDivisionError:
         return None
-    if qa.is_constant or qb.is_constant or _coprime_certificate(qa, qb):
+    if (
+        _modular._degrees(coeffs, len(vs)) == bounds
+        or qa.is_constant
+        or qb.is_constant
+        or _coprime_certificate(qa, qb)
+    ):
         return g, qa, qb
     return None
 
@@ -1302,7 +1319,8 @@ class _PolyParser:
     polynomial products.  The term's integer literals multiply into an int
     numerator and denominator, which become one Scalar per term; only i
     and parenthesised constants cost Scalar arithmetic.  Over F_p those
-    ints are reduced mod p; over Q and Q(i) they stay below _LITERAL_CAP.
+    ints are reduced mod p; over Q and Q(i) they stay below _LITERAL_CAP,
+    and so does every part of a constant group, its powers and products.
     """
 
     def __init__(self, tokens, field, nvars, offset):
@@ -1375,7 +1393,7 @@ class _PolyParser:
                     if not f:
                         raise ParseError("division by zero in literal")
                     f = f.inverse()
-                c = f if c is None else c * f
+                c = f if c is None else self.bounded(c * f)
             kind, _ = self.peek()
             if kind in ("*", "/"):
                 self.take()
@@ -1414,9 +1432,30 @@ class _PolyParser:
                     raise LimitExceededError(f"a literal power passes {_LITERAL_DIGITS} digits")
                 else:
                     f = f**k
+            elif isinstance(f, Scalar):
+                f = self.power(f, k)
             else:
                 f = f**k
         return f
+
+    def bounded(self, s):
+        # a constant group, or a power or product of them, below _LITERAL_CAP
+        if self.field._bit_size(s) >= _LITERAL_CAP.bit_length():
+            raise LimitExceededError(f"a constant passes {_LITERAL_DIGITS} digits")
+        return s
+
+    def power(self, s, k):
+        # s^k by squaring, every factor bounded: unless s is 0 or a root of
+        # unity its factors grow with each squaring, so a huge k is refused
+        # within a few dozen steps; over F_p nothing grows
+        result = self.field.one()
+        while k:
+            if k & 1:
+                result = self.bounded(result * s)
+            k >>= 1
+            if k:
+                s = self.bounded(s * s)
+        return result
 
     def atom(self):
         kind, val = self.take()

@@ -4,7 +4,8 @@ Supported fields: the rationals Q, the Gaussian rationals Q(i), and prime
 fields F_p.  Every value is stored in a canonical form (lowest terms with a
 positive denominator for rational parts, residues in [0, p) for prime
 fields), so equality and hashing are structural and no floating point is
-involved anywhere.
+involved anywhere.  A rational is a (numerator, denominator) pair of ints,
+which the _q_* helpers keep canonical with one gcd per operation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +34,45 @@ class FieldKind(enum.Enum):
 # the least strong pseudoprime to all twelve bases below (399165290221 *
 # 798330580441); Miller-Rabin with these bases is proven only below it
 _MR_BOUND = 318665857834031151167461
+
+
+def _q(n, d):
+    """The canonical pair of the rational n/d, d nonzero."""
+    if d < 0:
+        n, d = -n, -d
+    g = math.gcd(n, d)
+    return (n // g, d // g) if g != 1 else (n, d)
+
+
+def _q_add(x, y):
+    a, b = x
+    c, d = y
+    if b == 1 and d == 1:
+        return a + c, 1
+    return _q(a * d + c * b, b * d)
+
+
+def _q_mul(x, y):
+    a, b = x
+    c, d = y
+    if not (a and c):
+        return 0, 1
+    if b == 1 and d == 1:
+        return a * c, 1
+    # each cross gcd cancels what the other factor's denominator shares
+    g = math.gcd(a, d)
+    h = math.gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _q_inv(x):
+    a, b = x
+    return (b, a) if a > 0 else (-b, -a)
+
+
+def _q_str(x):
+    a, b = x
+    return str(a) if b == 1 else f"{a}/{b}"
 
 
 def _is_prime(n):
@@ -89,23 +130,28 @@ class FieldSpec:
 
     def from_int(self, n):
         if self.kind is FieldKind.RATIONAL:
-            return Scalar(self, Fraction(n))
+            return Scalar(self, (operator.index(n), 1))
         if self.kind is FieldKind.GAUSSIAN_RATIONAL:
             return Scalar(self, (Fraction(n), Fraction(0)))
         return Scalar(self, n % self.modulus)
 
     def from_fraction(self, num, den=1):
-        fr = Fraction(num, den)
+        """num/den for ints or Fractions num and den."""
+        if type(num) is int and type(den) is int:
+            if not den:
+                raise DivisionByZeroError(f"zero denominator in {num}/0")
+            n, d = _q(num, den)
+        else:
+            fr = Fraction(num, den)
+            n, d = fr.numerator, fr.denominator
         if self.kind is FieldKind.RATIONAL:
-            return Scalar(self, fr)
+            return Scalar(self, (n, d))
         if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-            return Scalar(self, (fr, Fraction(0)))
-        if fr.denominator % self.modulus == 0:
-            raise DivisionByZeroError(f"denominator of {fr} vanishes mod {self.modulus}")
-        return Scalar(
-            self,
-            fr.numerator * pow(fr.denominator, -1, self.modulus) % self.modulus,
-        )
+            return Scalar(self, (Fraction(n, d), Fraction(0)))
+        p = self.modulus
+        if d % p == 0:
+            raise DivisionByZeroError(f"denominator of {_q_str((n, d))} vanishes mod {p}")
+        return Scalar(self, n * pow(d, -1, p) % p)
 
     def from_pair(self, re, im):
         """Gaussian rational re + im*i."""
@@ -122,7 +168,7 @@ class FieldSpec:
     def _den(self, scalars):
         """The least common denominator of the scalars; 1 over F_p."""
         if self.kind is FieldKind.RATIONAL:
-            return math.lcm(*(s.value.denominator for s in scalars))
+            return math.lcm(*(s.value[1] for s in scalars))
         if self.kind is FieldKind.GAUSSIAN_RATIONAL:
             return math.lcm(*(q.denominator for s in scalars for q in s.value))
         return 1
@@ -139,10 +185,7 @@ class FieldSpec:
         if weights is None:
             weights = itertools.repeat(1)
         if self.kind is FieldKind.RATIONAL:
-            return [
-                s.value.numerator * (den // s.value.denominator) * w
-                for s, w in zip(scalars, weights)
-            ]
+            return [n * (den // d) * w for (n, d), w in zip((s.value for s in scalars), weights)]
         out = []
         for s, w in zip(scalars, weights):
             re, im = s.value
@@ -162,8 +205,8 @@ class FieldSpec:
             return [Scalar(self, r % p) for r in raws]
         if self.kind is FieldKind.RATIONAL:
             if den == 1:
-                return [Scalar(self, Fraction(r)) for r in raws]
-            return [Scalar(self, Fraction(r, den)) for r in raws]
+                return [Scalar(self, (r, 1)) for r in raws]
+            return [Scalar(self, _q(r, den)) for r in raws]
         if isinstance(den, _GaussianInt):
             conj = _GaussianInt(den.re, -den.im)
             raws = [r * conj for r in raws]
@@ -181,9 +224,18 @@ class FieldSpec:
             p = self.modulus
             return [Scalar(self, s.value * v % p) for s in scalars]
         if self.kind is FieldKind.RATIONAL:
-            return [Scalar(self, s.value * v) for s in scalars]
+            return [Scalar(self, _q_mul(s.value, v)) for s in scalars]
         c, d = v
         return [Scalar(self, (a * c - b * d, a * d + b * c)) for a, b in (s.value for s in scalars)]
+
+    def _bit_size(self, s):
+        """The bit size of the Scalar s: of its largest numerator or denominator."""
+        v = s.value
+        if self.kind is FieldKind.PRIME_FIELD:
+            return v.bit_length()
+        if self.kind is FieldKind.RATIONAL:
+            return max(v[0].bit_length(), v[1].bit_length())
+        return max(x.bit_length() for q in v for x in (q.numerator, q.denominator))
 
     def _raw_int(self, n):
         """The raw value of the integer n."""
@@ -251,8 +303,8 @@ class FieldSpec:
         out = []
         if self.kind is FieldKind.RATIONAL:
             for s in scalars:
-                text = str(s.value)
-                out.append((True, text[1:]) if text[0] == "-" else (False, text))
+                n, d = s.value
+                out.append((True, _q_str((-n, d))) if n < 0 else (False, _q_str((n, d))))
             return out
         for s in scalars:
             re, im = s.value
@@ -354,9 +406,12 @@ def parse_field(text):
 class Scalar:
     """An element of one of the supported fields, in canonical form.
 
-    The payload depends on the field: a Fraction over Q, a pair of Fractions
-    (real, imaginary) over Q(i), and a residue in [0, p) over F_p.  Arithmetic
-    mixes freely with Python ints, which are promoted into the field.
+    The payload depends on the field: a (numerator, denominator) pair of
+    ints in lowest terms with a positive denominator over Q, a pair of
+    Fractions (real, imaginary) over Q(i), and a residue in [0, p) over F_p.
+    str, == and hash over Q agree with those of the equal Fraction.
+    Arithmetic mixes freely with Python ints, which are promoted into the
+    field.
     """
 
     __slots__ = ("field", "value")
@@ -381,7 +436,7 @@ class Scalar:
             return NotImplemented
         k = self.field.kind
         if k is FieldKind.RATIONAL:
-            return Scalar(self.field, self.value + other.value)
+            return Scalar(self.field, _q_add(self.value, other.value))
         if k is FieldKind.GAUSSIAN_RATIONAL:
             a, b = self.value
             c, d = other.value
@@ -393,7 +448,8 @@ class Scalar:
     def __neg__(self):
         k = self.field.kind
         if k is FieldKind.RATIONAL:
-            return Scalar(self.field, -self.value)
+            a, b = self.value
+            return Scalar(self.field, (-a, b))
         if k is FieldKind.GAUSSIAN_RATIONAL:
             a, b = self.value
             return Scalar(self.field, (-a, -b))
@@ -417,7 +473,7 @@ class Scalar:
             return NotImplemented
         k = self.field.kind
         if k is FieldKind.RATIONAL:
-            return Scalar(self.field, self.value * other.value)
+            return Scalar(self.field, _q_mul(self.value, other.value))
         if k is FieldKind.GAUSSIAN_RATIONAL:
             a, b = self.value
             c, d = other.value
@@ -431,7 +487,7 @@ class Scalar:
             raise DivisionByZeroError("inverse of zero")
         k = self.field.kind
         if k is FieldKind.RATIONAL:
-            return Scalar(self.field, 1 / self.value)
+            return Scalar(self.field, _q_inv(self.value))
         if k is FieldKind.GAUSSIAN_RATIONAL:
             a, b = self.value
             n = a * a + b * b
@@ -465,9 +521,12 @@ class Scalar:
         return self
 
     def __bool__(self):
-        if self.field.kind is FieldKind.GAUSSIAN_RATIONAL:
-            return bool(self.value[0]) or bool(self.value[1])
-        return bool(self.value)
+        k = self.field.kind
+        if k is FieldKind.PRIME_FIELD:
+            return bool(self.value)
+        if k is FieldKind.RATIONAL:
+            return bool(self.value[0])
+        return bool(self.value[0]) or bool(self.value[1])
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -477,7 +536,11 @@ class Scalar:
         return self.field == other.field and self.value == other.value
 
     def __hash__(self):
-        if self.field.kind is FieldKind.GAUSSIAN_RATIONAL:
+        k = self.field.kind
+        if k is FieldKind.RATIONAL:
+            n, d = self.value
+            return hash(n) if d == 1 else hash(Fraction(n, d))
+        if k is FieldKind.GAUSSIAN_RATIONAL:
             re, im = self.value
             return hash(re) if not im else hash((re, im))
         return hash(self.value)
@@ -497,6 +560,8 @@ class Scalar:
             if not re:
                 return istr
             return f"{re}+{istr}" if im > 0 else f"{re}{istr}"
+        if k is FieldKind.RATIONAL:
+            return _q_str(self.value)
         return str(self.value)
 
     def __repr__(self):

@@ -123,6 +123,37 @@ def test_a_product_of_literals_past_the_digit_limit_is_refused(capsys):
     assert err.strip() == "LIMIT_EXCEEDED: a literal product passes 4300 digits"
 
 
+@pytest.mark.parametrize("field, text", [
+    ("Q", "(2)^7569131557543087404*x0"),
+    ("Q", "(2)^75691*x0"),
+    ("Q", "(3/4)^7569131557543087404*x0"),
+    ("Q", "(2)^10000*(3)^10000*x0"),
+    ("Qi", "(1 + i)^7569131557543087404*x0"),
+])
+def test_a_huge_power_of_a_parenthesised_constant_is_refused(capsys, field, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "--field", field, f"P^2: [{text} : x1 : x2]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "LIMIT_EXCEEDED: a constant passes 4300 digits"
+
+
+@pytest.mark.parametrize("field, text", [
+    ("Q", "(2)^100*x0"),
+    ("Q", "(2)^14283*x0"),
+    ("Q", "(1)^7569131557543087404*x0"),
+    ("Qi", "(i)^7569131557543087404*x0"),
+    ("Fp:101", "(2)^7569131557543087404*x0"),
+])
+def test_a_bounded_power_of_a_parenthesised_constant_parses(capsys, field, text):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "degree", "--field", field, f"P^2: [{text} : x1 : x2]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.strip() == "1"
+
+
 @pytest.mark.parametrize("argv, printed", [
     # 2^14284 has 4300 digits, the most that prints
     (["degree", "P^2: [2^14284*x0 : x1 : x2]"], "1"),

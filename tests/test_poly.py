@@ -285,9 +285,10 @@ SWELL_H = (
 
 
 def _coeff_bits(p):
+    # read through the printed value, not the payload, whose encoding is scalars.py's
     return max(
-        max(c.value.numerator.bit_length(), c.value.denominator.bit_length())
-        for c in p.terms.values()
+        max(fr.numerator.bit_length(), fr.denominator.bit_length())
+        for fr in (Fraction(str(c)) for c in p.terms.values())
     )
 
 
@@ -403,17 +404,27 @@ def test_printed_sums_take_the_term_reader():
             assert poly._sum_of_terms(text, field, 4, 1) == f.terms
 
 
+def _rational(sp, c):
+    # a Scalar over Q or F_p through its printed value
+    fr = Fraction(str(c))
+    return sp.Rational(fr.numerator, fr.denominator)
+
+
 def _to_sympy(sp, f, gens):
     kind = f.field.kind
     if kind is FieldKind.PRIME_FIELD:
-        terms = {e: c.value for e, c in f.terms.items()}
+        terms = {e: int(_rational(sp, c)) for e, c in f.terms.items()}
         return sp.Poly.from_dict(terms, *gens, modulus=f.field.modulus)
     if kind is FieldKind.RATIONAL:
-        terms = {e: sp.Rational(c.value.numerator, c.value.denominator) for e, c in f.terms.items()}
+        terms = {e: _rational(sp, c) for e, c in f.terms.items()}
         return sp.Poly.from_dict(terms, *gens, domain=sp.QQ)
     terms = {}
+    half = f.field.from_fraction(1, 2)
+    minus_half_i = f.field.from_pair(0, Fraction(-1, 2))
     for e, c in f.terms.items():
-        re, im = (sp.Rational(x.numerator, x.denominator) for x in c.value)
+        # re = (c + conj c)/2 and im = (c - conj c)/(2i) lie in Q
+        re = _rational(sp, (c + c.conjugate()) * half)
+        im = _rational(sp, (c - c.conjugate()) * minus_half_i)
         terms[e] = re + sp.I * im
     return sp.Poly.from_dict(terms, *gens, domain=sp.QQ_I)
 
@@ -596,6 +607,161 @@ def test_gcd_list_over_a_small_field_runs_the_pairwise_chain(monkeypatch):
     gcds = _spy(monkeypatch, poly, "poly_gcd")
     assert poly_gcd_list(family) == g
     assert [args for args, _ in gcds] == [(family[0], family[1]), (g, family[2])]
+
+
+# ---------------------------------------------------------------------------
+# the one-line coprimality certificate, the bounds shortcut and one-prime gcds
+
+
+def _lines(monkeypatch):
+    # (args, verdict) of every _line_certificate call, and its per-variable
+    # counterpart on the same images: all bounds zero, from points of its own
+    calls = _spy(monkeypatch, _modular, "_line_certificate")
+
+    def per_variable(k):
+        A, B, n, q, _ = calls[k][0]
+        return not any(_modular._degree_bounds(A, B, n, q, random.Random(k), 2))
+
+    return calls, per_variable
+
+
+def _homogeneous(draw, field, nvars, degree, pure):
+    # a random form of the degree; with pure, x0^degree is among its terms
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        e = [0] * nvars
+        for _ in range(degree):
+            e[draw(st.integers(0, nvars - 1))] += 1
+        terms[tuple(e)] = _rand_coeff(random.Random(draw(st.integers(0, 10**6))), field)
+    if pure:
+        terms[(degree,) + (0,) * (nvars - 1)] = field.one()
+    return Polynomial(field, nvars, terms)
+
+
+@st.composite
+def _certificate_pairs(draw):
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    field = FIELDS[name]
+    nvars = 3
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    shape = draw(st.sampled_from(["affine", "omits", "drops", "origin", "pure", "bare"]))
+    if shape in ("pure", "bare"):
+        # homogeneous pairs, with and without a pure top power
+        g = _homogeneous(draw, field, nvars, draw(st.integers(0, 1)), shape == "pure")
+        a = g * _homogeneous(draw, field, nvars, draw(st.integers(1, 2)), shape == "pure")
+        b = g * _homogeneous(draw, field, nvars, draw(st.integers(1, 2)), False)
+        return a, b
+    g = Polynomial.one(field, nvars)
+    if draw(st.booleans()):
+        g = _rand_poly(rng, field, nvars, 2, 3)
+    if shape == "omits":
+        # a common factor free of x2
+        g = g * parse_poly("x0*x1 + 2*x0 - 1", field, nvars)
+    if shape == "drops":
+        # its leading coefficient vanishes mod the first prime a map tries
+        first = next(_modular._word_primes(field is QI))
+        g = g * parse_poly(f"{first}*x0 + 1", field, nvars) * parse_poly("x0 + 2", field, nvars)
+    a = g * _rand_poly(rng, field, nvars, 2, 3)
+    b = g * _rand_poly(rng, field, nvars, 2, 3)
+    if shape == "origin":
+        # both vanish at the origin
+        a = a * parse_poly("x0 + x1", field, nvars)
+        b = b * parse_poly("x1 - x2", field, nvars)
+    assume(not (a.is_constant or b.is_constant))
+    return a, b
+
+
+@given(_certificate_pairs())
+@settings(max_examples=120, deadline=None)
+def test_the_line_certificate_agrees_with_the_per_variable_route_and_sympy(pair):
+    sp = pytest.importorskip("sympy")
+    a, b = pair
+    with pytest.MonkeyPatch.context() as m:
+        calls, per_variable = _lines(m)
+        certified = not any(poly._certificate(a, b)[3])
+        line, = calls
+    coprime = _sympy_gcd(sp, [a, b]).is_constant
+    # each certificate is sound on its own; neither decides a common factor
+    assert not line[1] or coprime
+    assert not per_variable(0) or coprime
+    assert not certified or coprime
+    g = poly_gcd(a, b)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_modular, "_line_certificate", lambda *args: False)
+        assert poly_gcd(a, b) == g
+    assert g == _sympy_gcd(sp, [a, b])
+
+
+# over F_2 and F_3 a random line meets a common root of the closure too
+# often for any one line to decide
+@pytest.mark.parametrize("name", ["Q", "Qi", "F101"])
+@pytest.mark.parametrize("a, b, kind", [
+    # a constant term: the radial line
+    ("x0^2 + x1*x2 + 3", "x0*x1 - x2^2 + x1", "radial"),
+    # both vanish at the origin; x1^3 and x2^2 are pure top powers
+    ("x0*x1^2 + x1^3 + x0*x2", "x2^2 + x0*x1", "along"),
+    # a homogeneous pair with a pure power x0^2
+    ("x0^2 + x1*x2", "x0*x1 + x2^2 + x1^2", "along"),
+])
+def test_the_line_certificate_decides_coprime_pairs_alone(monkeypatch, name, a, b, kind):
+    field = FIELDS[name]
+    a, b = parse_poly(a, field, 3), parse_poly(b, field, 3)
+    calls, _ = _lines(monkeypatch)
+    bounds = _spy(monkeypatch, _modular, "_degree_bounds")
+    images = _spy(monkeypatch, _modular, "_univariate_image")
+    assert poly._coprime_certificate(a, b)
+    assert [out for _, out in calls] == [True] and bounds == []
+    (line,) = {args[1] for args, _ in images}
+    assert (line is None) == (kind == "radial")
+
+
+def test_a_homogeneous_pair_without_pure_powers_takes_the_per_variable_route(monkeypatch):
+    # both forms vanish at the origin and hold no x_v^2: no line decides
+    a, b = p("x0*x1 + x1*x2", 3), p("x0*x2 + x1*x2 - x0*x1", 3)
+    calls, _ = _lines(monkeypatch)
+    bounds = _spy(monkeypatch, _modular, "_degree_bounds")
+    assert poly._coprime_certificate(a, b)
+    assert [out for _, out in calls] == [False] and len(bounds) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101)], ids=str)
+def test_a_divisor_that_meets_its_bounds_skips_the_cofactor_certificate(monkeypatch, field):
+    unit = "i" if field is QI else "1"
+    g = parse_poly(f"x0^2 + 3/2*x1*x2 - {unit}*x2 + 2", field, 3)
+    a = g * parse_poly("x0 - x1 + 5", field, 3)
+    b = g * parse_poly("x1^2 + x0*x2 + 1", field, 3)
+    with monkeypatch.context() as m:
+        cofactors = _spy(m, poly, "_coprime_certificate")
+        assert poly_gcd(a, b) == g.monic()
+        assert cofactors == []
+    # bounds one looser in every variable: g meets none, so its cofactors
+    # are certified coprime before it is accepted
+    real = _modular._degree_bounds
+    monkeypatch.setattr(_modular, "_degree_bounds", lambda *args: [k + 1 for k in real(*args)])
+    cofactors = _spy(monkeypatch, poly, "_coprime_certificate")
+    assert poly_gcd(a, b) == g.monic()
+    assert [out for _, out in cofactors] == [True]
+
+
+def test_a_premature_reconstruction_keeps_its_primes(monkeypatch):
+    # c passes 2^40, so no one or two word primes recover it; mod the first
+    # prime it still reconstructs, to a wrong small fraction that fails the
+    # trial division, and the next primes refine the same product
+    first = next(_modular._word_primes(False))
+    c = next(
+        c for c in itertools.count(2**40 + 1)
+        if _modular._rational_reconstruction(c % first, first) is not None
+    )
+    g = p(f"x0 + {c}*x1 + 1", 2)
+    a = g * p("x0 + 2*x1 + 3", 2)
+    b = g * p("x0 - x1^2 + 5", 2)
+    verified = _spy(monkeypatch, poly, "_verified")
+    crts = _spy(monkeypatch, _modular, "_crt")
+    assert poly_gcd(a, b) == g
+    assert verified[0][1] is None and verified[-1][1] is not None
+    # one product of primes throughout: each CRT step extends the last
+    assert [args[0] is None for args, _ in crts] == [True] + [False] * (len(crts) - 1)
+    assert len(crts) >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for exact field arithmetic and field automorphisms."""
 
 import ast
+import math
 import pathlib
 from fractions import Fraction
 
@@ -186,6 +187,37 @@ def test_parse_scalar():
 @given(fields.flatmap(any_scalar))
 def test_str_round_trip(a):
     assert parse_scalar(str(a), a.field) == a
+
+
+def _canonical_q(s):
+    # lowest terms over a positive denominator, the form == and hash rely on
+    n, d = s.value
+    return type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
+
+
+def _agrees(s, fr):
+    return _canonical_q(s) and Fraction(str(s)) == fr and str(s) == str(fr) and hash(s) == hash(fr)
+
+
+wide = st.fractions(max_denominator=10**30) | st.integers(-(10**40), 10**40).map(Fraction)
+
+
+@given(wide, wide, st.integers(-(10**6), 10**6), st.integers(-5, 5).filter(bool))
+def test_rational_payloads_stay_canonical_and_print_and_hash_as_fractions(x, y, n, d):
+    a, b = QQ.from_fraction(x), QQ.from_fraction(y)
+    assert _agrees(a, x) and _agrees(b, y)
+    assert _agrees(QQ.from_fraction(n, d), Fraction(n, d))
+    assert _agrees(QQ.from_int(n), Fraction(n))
+    assert _agrees(a + b, x + y) and _agrees(a - b, x - y) and _agrees(a * b, x * y)
+    assert _agrees(-a, -x) and _agrees(a * n, x * n) and _agrees(a ** 3, x**3)
+    if y:
+        assert _agrees(b.inverse(), 1 / y) and _agrees(a / b, x / y) and _agrees(b ** -2, y**-2)
+    assert (a == b) == (x == y) and (a == n) == (x == n)
+    # the raw routes: a product of polynomials decodes over a common denominator
+    f = Polynomial(QQ, 1, {(0,): a, (1,): QQ.from_fraction(n, d)})
+    g = Polynomial(QQ, 1, {(0,): b, (2,): QQ.one()})
+    for h in (f * g, f * b):
+        assert all(map(_canonical_q, h.terms.values()))
 
 
 def _payload_reads(tree):
