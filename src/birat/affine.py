@@ -26,7 +26,7 @@ from .errors import (
     SingularLinearPartError,
     SingularMatrixError,
 )
-from .poly import Polynomial, homogenize, parse_poly, poly_str, split_group
+from .poly import Polynomial, homogenize, parse_poly, poly_str, split_group, substitute_all
 from .scalars import FieldKind, Scalar
 
 
@@ -55,12 +55,12 @@ class PolyAuto:
 
     def _verify(self):
         xs = [Polynomial.variable(self.field, self.dim, v) for v in range(self.dim)]
-        fwd = list(self.forward)
-        inv = list(self.inverse)
+        fwd_inv = substitute_all(self.forward, self.inverse)
+        inv_fwd = substitute_all(self.inverse, self.forward)
         for v in range(self.dim):
-            if self.forward[v].substitute(inv) != xs[v]:
+            if fwd_inv[v] != xs[v]:
                 raise InverseCheckError(f"forward o inverse != id in component {v + 1}")
-            if self.inverse[v].substitute(fwd) != xs[v]:
+            if inv_fwd[v] != xs[v]:
                 raise InverseCheckError(f"inverse o forward != id in component {v + 1}")
 
     @classmethod
@@ -92,10 +92,10 @@ class PolyAuto:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
         if self.dim != other.dim:
             raise DimMismatchError(f"dimension {self.dim} vs {other.dim}")
-        fwd = [c.substitute(list(other.forward)) for c in self.forward]
+        fwd = substitute_all(self.forward, other.forward)
 
         def inv():
-            return [c.substitute(list(self.inverse)) for c in other.inverse]
+            return substitute_all(other.inverse, self.inverse)
 
         return PolyAuto._trusted(self.field, self.dim, fwd, inv)
 

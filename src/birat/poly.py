@@ -354,21 +354,7 @@ class Polynomial:
 
     def substitute(self, polys):
         """Substitute polys[v] for variable v; polys may live in another arity."""
-        if len(polys) != self.nvars:
-            raise ArityMismatchError(f"expected {self.nvars} polynomials, got {len(polys)}")
-        if not polys:
-            return self
-        field = self.field
-        m = polys[0].nvars
-        for g in polys:
-            if g.field != field:
-                raise FieldMismatchError(f"{field} vs {g.field}")
-            if g.nvars != m:
-                raise ArityMismatchError("substituted polynomials disagree on arity")
-        if not self.terms:
-            return Polynomial.zero(field, m)
-        (raw,), den, monos = _substitute_raw([self], polys)
-        return Polynomial._raw(field, m, _decode_terms(field, raw, den, monos))
+        return substitute_all([self], polys)[0]
 
     def derivative(self, v):
         if not 0 <= v < self.nvars:
@@ -426,6 +412,30 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.field}, {self.nvars}, {self})"
+
+
+def substitute_all(fs, polys):
+    """[f.substitute(polys) for f in fs], in one pass that encodes polys once.
+
+    fs is a nonempty sequence of polynomials over one field, each in
+    len(polys) variables; polys may live in another arity.
+    """
+    field = fs[0].field
+    for f in fs:
+        if len(polys) != f.nvars:
+            raise ArityMismatchError(f"expected {f.nvars} polynomials, got {len(polys)}")
+        if f.field != field:
+            raise FieldMismatchError(f"{field} vs {f.field}")
+    if not polys:
+        return list(fs)
+    m = polys[0].nvars
+    for g in polys:
+        if g.field != field:
+            raise FieldMismatchError(f"{field} vs {g.field}")
+        if g.nvars != m:
+            raise ArityMismatchError("substituted polynomials disagree on arity")
+    raws, den, monos = _substitute_raw(fs, polys)
+    return [Polynomial._raw(field, m, _decode_terms(field, r, den, monos) if r else {}) for r in raws]
 
 
 def _substitute_raw(fs, polys):

@@ -5,7 +5,9 @@ fields F_p.  Every value is stored in a canonical form (lowest terms with a
 positive denominator for rational parts, residues in [0, p) for prime
 fields), so equality and hashing are structural and no floating point is
 involved anywhere.  A rational is a (numerator, denominator) pair of ints,
-which the _q_* helpers keep canonical with one gcd per operation.
+which the _q_* helpers keep canonical with one gcd per operation; a Gaussian
+rational (a + b*i)/d is an (a, b, d) triple of ints, which the _qi_* helpers
+keep canonical with one three-argument gcd per operation.
 """
 
 from __future__ import annotations
@@ -75,6 +77,42 @@ def _q_str(x):
     return str(a) if b == 1 else f"{a}/{b}"
 
 
+def _qi(a, b, d):
+    """The canonical triple of the Gaussian rational (a + b*i)/d, d nonzero."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    g = math.gcd(a, b, d)
+    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
+
+
+def _qi_add(x, y):
+    a, b, d = x
+    c, e, f = y
+    if d == f:
+        return (a + c, b + e, 1) if d == 1 else _qi(a + c, b + e, d)
+    return _qi(a * f + c * d, b * f + e * d, d * f)
+
+
+def _qi_mul(x, y):
+    a, b, d = x
+    c, e, f = y
+    if d == 1 and f == 1:
+        return a * c - b * e, a * e + b * c, 1
+    return _qi(a * c - b * e, a * e + b * c, d * f)
+
+
+def _qi_inv(x):
+    # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)
+    a, b, d = x
+    return _qi(a * d, -b * d, a * a + b * b)
+
+
+def _qi_parts(x):
+    """The canonical pairs of the real and the imaginary part of x."""
+    a, b, d = x
+    return _q(a, d), _q(b, d)
+
+
 def _is_prime(n):
     # Miller-Rabin, deterministic below _MR_BOUND
     if n >= _MR_BOUND:
@@ -132,7 +170,7 @@ class FieldSpec:
         if self.kind is FieldKind.RATIONAL:
             return Scalar(self, (operator.index(n), 1))
         if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-            return Scalar(self, (Fraction(n), Fraction(0)))
+            return Scalar(self, (operator.index(n), 0, 1))
         return Scalar(self, n % self.modulus)
 
     def from_fraction(self, num, den=1):
@@ -147,7 +185,7 @@ class FieldSpec:
         if self.kind is FieldKind.RATIONAL:
             return Scalar(self, (n, d))
         if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-            return Scalar(self, (Fraction(n, d), Fraction(0)))
+            return Scalar(self, (n, 0, d))
         p = self.modulus
         if d % p == 0:
             raise DivisionByZeroError(f"denominator of {_q_str((n, d))} vanishes mod {p}")
@@ -157,7 +195,14 @@ class FieldSpec:
         """Gaussian rational re + im*i."""
         if self.kind is not FieldKind.GAUSSIAN_RATIONAL:
             raise FieldMismatchError("real/imaginary pairs only exist over Q(i)")
-        return Scalar(self, (Fraction(re), Fraction(im)))
+        re, im = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (re, im))
+        a, r = re.numerator, re.denominator
+        b, s = im.numerator, im.denominator
+        if r == s:
+            return Scalar(self, (a, b, r))
+        # over the lcm of the parts' denominators the triple is canonical
+        d = math.lcm(r, s)
+        return Scalar(self, (a * (d // r), b * (d // s), d))
 
     # Raw values, what the inner loops of poly.py and matrices.py run on:
     # residues mod p over F_p (not always reduced inside a loop), integers
@@ -170,7 +215,7 @@ class FieldSpec:
         if self.kind is FieldKind.RATIONAL:
             return math.lcm(*(s.value[1] for s in scalars))
         if self.kind is FieldKind.GAUSSIAN_RATIONAL:
-            return math.lcm(*(q.denominator for s in scalars for q in s.value))
+            return math.lcm(*(s.value[2] for s in scalars))
         return 1
 
     def _encode(self, scalars, den, weights=None):
@@ -187,12 +232,9 @@ class FieldSpec:
         if self.kind is FieldKind.RATIONAL:
             return [n * (den // d) * w for (n, d), w in zip((s.value for s in scalars), weights)]
         out = []
-        for s, w in zip(scalars, weights):
-            re, im = s.value
-            out.append(_GaussianInt(
-                re.numerator * (den // re.denominator) * w,
-                im.numerator * (den // im.denominator) * w,
-            ))
+        for (a, b, d), w in zip((s.value for s in scalars), weights):
+            m = den // d * w
+            out.append(_GaussianInt(a * m, b * m))
         return out
 
     def _decode(self, raws, den):
@@ -211,7 +253,9 @@ class FieldSpec:
             conj = _GaussianInt(den.re, -den.im)
             raws = [r * conj for r in raws]
             den = den.re * den.re + den.im * den.im
-        return [Scalar(self, (Fraction(r.re, den), Fraction(r.im, den))) for r in raws]
+        if den == 1:
+            return [Scalar(self, (r.re, r.im, 1)) for r in raws]
+        return [Scalar(self, _qi(r.re, r.im, den)) for r in raws]
 
     def _scale(self, scalars, c):
         """The Scalars s*c for s in scalars; c is a nonzero Scalar.
@@ -225,17 +269,19 @@ class FieldSpec:
             return [Scalar(self, s.value * v % p) for s in scalars]
         if self.kind is FieldKind.RATIONAL:
             return [Scalar(self, _q_mul(s.value, v)) for s in scalars]
-        c, d = v
-        return [Scalar(self, (a * c - b * d, a * d + b * c)) for a, b in (s.value for s in scalars)]
+        return [Scalar(self, _qi_mul(s.value, v)) for s in scalars]
 
     def _bit_size(self, s):
-        """The bit size of the Scalar s: of its largest numerator or denominator."""
+        """The bit size of the Scalar s: of its largest numerator or denominator.
+
+        Over Q(i) these are the real and the imaginary part's, in lowest terms.
+        """
         v = s.value
         if self.kind is FieldKind.PRIME_FIELD:
             return v.bit_length()
         if self.kind is FieldKind.RATIONAL:
             return max(v[0].bit_length(), v[1].bit_length())
-        return max(x.bit_length() for q in v for x in (q.numerator, q.denominator))
+        return max(x.bit_length() for q in _qi_parts(v) for x in q)
 
     def _raw_int(self, n):
         """The raw value of the integer n."""
@@ -307,10 +353,10 @@ class FieldSpec:
                 out.append((True, _q_str((-n, d))) if n < 0 else (False, _q_str((n, d))))
             return out
         for s in scalars:
-            re, im = s.value
-            if re and im:
+            a, b, _ = s.value
+            if a and b:
                 out.append((False, f"({s})"))
-            elif (re or im) < 0:
+            elif (a or b) < 0:
                 out.append((True, str(-s)))
             else:
                 out.append((False, str(s)))
@@ -407,9 +453,11 @@ class Scalar:
     """An element of one of the supported fields, in canonical form.
 
     The payload depends on the field: a (numerator, denominator) pair of
-    ints in lowest terms with a positive denominator over Q, a pair of
-    Fractions (real, imaginary) over Q(i), and a residue in [0, p) over F_p.
-    str, == and hash over Q agree with those of the equal Fraction.
+    ints in lowest terms with a positive denominator over Q, an (a, b, d)
+    triple of ints standing for (a + b*i)/d with d > 0 and gcd(a, b, d) = 1
+    over Q(i), and a residue in [0, p) over F_p.  str, == and hash over Q
+    agree with those of the equal Fraction, and over Q(i) with those of the
+    pair of Fractions (real, imaginary).
     Arithmetic mixes freely with Python ints, which are promoted into the
     field.
     """
@@ -438,9 +486,7 @@ class Scalar:
         if k is FieldKind.RATIONAL:
             return Scalar(self.field, _q_add(self.value, other.value))
         if k is FieldKind.GAUSSIAN_RATIONAL:
-            a, b = self.value
-            c, d = other.value
-            return Scalar(self.field, (a + c, b + d))
+            return Scalar(self.field, _qi_add(self.value, other.value))
         return Scalar(self.field, (self.value + other.value) % self.field.modulus)
 
     __radd__ = __add__
@@ -451,8 +497,8 @@ class Scalar:
             a, b = self.value
             return Scalar(self.field, (-a, b))
         if k is FieldKind.GAUSSIAN_RATIONAL:
-            a, b = self.value
-            return Scalar(self.field, (-a, -b))
+            a, b, d = self.value
+            return Scalar(self.field, (-a, -b, d))
         return Scalar(self.field, -self.value % self.field.modulus)
 
     def __sub__(self, other):
@@ -475,9 +521,7 @@ class Scalar:
         if k is FieldKind.RATIONAL:
             return Scalar(self.field, _q_mul(self.value, other.value))
         if k is FieldKind.GAUSSIAN_RATIONAL:
-            a, b = self.value
-            c, d = other.value
-            return Scalar(self.field, (a * c - b * d, a * d + b * c))
+            return Scalar(self.field, _qi_mul(self.value, other.value))
         return Scalar(self.field, self.value * other.value % self.field.modulus)
 
     __rmul__ = __mul__
@@ -489,9 +533,7 @@ class Scalar:
         if k is FieldKind.RATIONAL:
             return Scalar(self.field, _q_inv(self.value))
         if k is FieldKind.GAUSSIAN_RATIONAL:
-            a, b = self.value
-            n = a * a + b * b
-            return Scalar(self.field, (a / n, -b / n))
+            return Scalar(self.field, _qi_inv(self.value))
         return Scalar(self.field, pow(self.value, -1, self.field.modulus))
 
     def __truediv__(self, other):
@@ -516,8 +558,8 @@ class Scalar:
     def conjugate(self):
         """Complex conjugate; the identity on Q and F_p."""
         if self.field.kind is FieldKind.GAUSSIAN_RATIONAL:
-            a, b = self.value
-            return Scalar(self.field, (a, -b))
+            a, b, d = self.value
+            return Scalar(self.field, (a, -b, d))
         return self
 
     def __bool__(self):
@@ -526,7 +568,7 @@ class Scalar:
             return bool(self.value)
         if k is FieldKind.RATIONAL:
             return bool(self.value[0])
-        return bool(self.value[0]) or bool(self.value[1])
+        return bool(self.value[0] or self.value[1])
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -541,25 +583,28 @@ class Scalar:
             n, d = self.value
             return hash(n) if d == 1 else hash(Fraction(n, d))
         if k is FieldKind.GAUSSIAN_RATIONAL:
-            re, im = self.value
-            return hash(re) if not im else hash((re, im))
+            a, b, d = self.value
+            if d == 1:
+                return hash((a, b)) if b else hash(a)
+            re = Fraction(a, d)
+            return hash((re, Fraction(b, d))) if b else hash(re)
         return hash(self.value)
 
     def __str__(self):
         k = self.field.kind
         if k is FieldKind.GAUSSIAN_RATIONAL:
-            re, im = self.value
-            if not im:
-                return str(re)
-            if im == 1:
+            re, im = _qi_parts(self.value)
+            if not im[0]:
+                return _q_str(re)
+            if im == (1, 1):
                 istr = "i"
-            elif im == -1:
+            elif im == (-1, 1):
                 istr = "-i"
             else:
-                istr = f"{im}i"
-            if not re:
+                istr = f"{_q_str(im)}i"
+            if not re[0]:
                 return istr
-            return f"{re}+{istr}" if im > 0 else f"{re}{istr}"
+            return f"{_q_str(re)}+{istr}" if im[0] > 0 else f"{_q_str(re)}{istr}"
         if k is FieldKind.RATIONAL:
             return _q_str(self.value)
         return str(self.value)

@@ -66,6 +66,7 @@ from .poly import (
     parse_poly,
     poly_gcd,
     poly_str,
+    substitute_all,
 )
 from .scalars import (
     QI,
@@ -403,7 +404,7 @@ def _chain_rule(rng, field, nv, seed):
     fs = [rand_poly(rng, field, nv, 2, max_terms=3) for _ in range(nv)]
     gs = [rand_poly(rng, field, nv, 2, max_terms=3) for _ in range(nv)]
     pt = [rand_scalar(rng, field, height=2) for _ in range(nv)]
-    hs = [f.substitute(gs) for f in fs]
+    hs = substitute_all(fs, gs)
     jh = jacobian([RationalFunction(h) for h in hs], pt)
     gpt = [g.evaluate(pt) for g in gs]
     jf = jacobian([RationalFunction(f) for f in fs], gpt)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import birat.affine
 from birat.affine import (
     PolyAuto,
     affine_auto,
@@ -27,8 +28,8 @@ from birat.errors import (
     PreconditionError,
     SingularLinearPartError,
 )
-from birat.poly import Polynomial, parse_poly
-from birat.scalars import GF, QQ
+from birat.poly import Polynomial, parse_poly, substitute_all
+from birat.scalars import GF, QI, QQ
 
 
 def chart_poly(text, d=2):
@@ -71,19 +72,47 @@ def test_compose_inverse():
     assert c == identity_auto(QQ, 2)
 
 
+WRONG_INVERSES = [
+    # f o g = 2*x_v (the zero component over F_2)
+    (["2*x1", "x2"], ["x1", "x2"], "forward o inverse != id in component 1"),
+    (["x1", "x2"], ["x1", "2*x2"], "forward o inverse != id in component 2"),
+    # f o g = x_v + 1
+    (["x1", "x2 + 1"], ["x1", "x2"], "forward o inverse != id in component 2"),
+    (["x1", "x2"], ["x1 + 1", "x2"], "forward o inverse != id in component 1"),
+    # a zero component
+    (["x1", "0"], ["x1", "x2"], "forward o inverse != id in component 2"),
+    # forward o inverse fails at component 2, inverse o forward already at 1
+    (["x2", "x1"], ["x2 + 1", "x1"], "inverse o forward != id in component 1"),
+    (["x2", "x1 + x2^2"], ["x2 - 2*x1^2", "x1"], "inverse o forward != id in component 1"),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101), GF(2)], ids=str)
+@pytest.mark.parametrize("forward, inverse, message", WRONG_INVERSES)
+def test_wrong_inverses_are_named_by_the_first_failing_check(field, forward, inverse, message):
+    # component by component, forward o inverse before inverse o forward
+    def parse(texts):
+        return [parse_poly(t, field, 2, offset=1) for t in texts]
+
+    with pytest.raises(InverseCheckError) as err:
+        PolyAuto(parse(forward), parse(inverse))
+    assert str(err.value) == message
+
+
 def test_compose_builds_the_inverse_when_read(monkeypatch):
+    # one substitution pass per map: the forward components at once, and
+    # the inverse's when first read
     calls = []
-    substitute = Polynomial.substitute
 
-    def counted(self, polys):
-        calls.append(self)
-        return substitute(self, polys)
+    def counted(fs, polys):
+        calls.append(len(fs))
+        return substitute_all(fs, polys)
 
-    monkeypatch.setattr(Polynomial, "substitute", counted)
+    monkeypatch.setattr(birat.affine, "substitute_all", counted)
     g = HENON_AUTO.compose(HENON_AUTO)
-    assert len(calls) == 2  # the forward components only
+    assert calls == [2]
     inverse = g.inverse
-    assert len(calls) == 4 and g.inverse is inverse
+    assert calls == [2, 2] and g.inverse is inverse
     assert g.inverted().compose(g) == identity_auto(QQ, 2)
 
 

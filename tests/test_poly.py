@@ -23,6 +23,7 @@ from birat.errors import (
     ArityMismatchError,
     BiratError,
     DegreeMismatchError,
+    FieldMismatchError,
     InexactDivisionError,
     ParseError,
     PoleAtPointError,
@@ -41,6 +42,7 @@ from birat.poly import (
     poly_gcd_list,
     poly_lcm,
     poly_str,
+    substitute_all,
 )
 from birat.scalars import GF, QI, QQ, FieldKind, Scalar, _is_prime, parse_field
 
@@ -1395,6 +1397,38 @@ def test_packed_substitution_matches_a_naive_reference(data):
         high = any(e[v] > 2 for e in f.terms)
         gs.append(data.draw(_packing_polys(field, m, 1 if high else 3)))
     assert f.substitute(gs).terms == _naive_substitute(f.terms, [g.terms for g in gs], m)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_substitution_pass_matches_each_polynomial_alone(data):
+    # substitute_all runs over one denominator and shared powers; each
+    # result must be that polynomial's own substitution, in the same term
+    # order, zero polynomials included
+    field = data.draw(_packing_fields)
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    fs = data.draw(st.lists(_packing_polys(field, n, 3), min_size=1, max_size=3))
+    gs = []
+    for v in range(n):
+        high = any(e[v] > 2 for f in fs for e in f.terms)
+        gs.append(data.draw(_packing_polys(field, m, 1 if high else 3)))
+    hs = substitute_all(fs, gs)
+    assert len(hs) == len(fs)
+    for f, h in zip(fs, hs):
+        assert h.terms == _naive_substitute(f.terms, [g.terms for g in gs], m)
+        assert list(h.terms.items()) == list(f.substitute(gs).terms.items())
+
+
+def test_one_substitution_pass_checks_every_polynomial():
+    x, y = p("x0"), p("x1")
+    with pytest.raises(ArityMismatchError, match="expected 3 polynomials, got 2"):
+        substitute_all([x, p("x2", 3)], [x, y])
+    with pytest.raises(FieldMismatchError):
+        substitute_all([x, p("x0", 2, GF(5))], [x, y])
+    with pytest.raises(FieldMismatchError):
+        substitute_all([x, y], [x, p("x0", 2, GF(5))])
+    with pytest.raises(ArityMismatchError, match="disagree on arity"):
+        substitute_all([x, y], [x, p("x2", 3)])
 
 
 def _exponents_of_degree(draw, nvars, degree):

@@ -14,7 +14,7 @@ from birat.errors import (
     FieldMismatchError,
     ParseError,
 )
-from birat.poly import Polynomial, parse_scalar
+from birat.poly import Polynomial, exact_div, parse_scalar
 from birat.scalars import (
     GF,
     QI,
@@ -218,6 +218,116 @@ def test_rational_payloads_stay_canonical_and_print_and_hash_as_fractions(x, y, 
     g = Polynomial(QQ, 1, {(0,): b, (2,): QQ.one()})
     for h in (f * g, f * b):
         assert all(map(_canonical_q, h.terms.values()))
+
+
+class _FractionPair:
+    """A Gaussian rational as a pair of Fractions (real, imaginary): the
+    reference whose str, hash, truth and bit size Q(i) scalars must keep."""
+
+    def __init__(self, re, im):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return _FractionPair(self.re + o.re, self.im + o.im)
+
+    def __neg__(self):
+        return _FractionPair(-self.re, -self.im)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _FractionPair(a * c - b * d, a * d + b * c)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return _FractionPair(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, n):
+        out = _FractionPair(1, 0)
+        for _ in range(abs(n)):
+            out = out * self
+        return out.inverse() if n < 0 else out
+
+    def conjugate(self):
+        return _FractionPair(self.re, -self.im)
+
+    def __eq__(self, o):
+        return (self.re, self.im) == (o.re, o.im)
+
+    def __hash__(self):
+        return hash(self.re) if not self.im else hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __str__(self):
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        istr = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+        if not re:
+            return istr
+        return f"{re}+{istr}" if im > 0 else f"{re}{istr}"
+
+    def bit_size(self):
+        return max(x.bit_length() for q in (self.re, self.im) for x in (q.numerator, q.denominator))
+
+
+def _canonical_qi(s):
+    # (a + b*i)/d with d > 0 and gcd(a, b, d) = 1, the form == and hash rely on
+    a, b, d = s.value
+    return all(type(x) is int for x in (a, b, d)) and d > 0 and math.gcd(a, b, d) == 1
+
+
+def _agrees_qi(s, ref):
+    return (
+        _canonical_qi(s)
+        and str(s) == str(ref)
+        and hash(s) == hash(ref)
+        and bool(s) == bool(ref)
+        and QI._bit_size(s) == ref.bit_size()
+    )
+
+
+@given(wide, wide, wide, wide, st.integers(-(10**6), 10**6), st.integers(-5, 5).filter(bool))
+def test_gaussian_payloads_stay_canonical_and_print_and_hash_as_fraction_pairs(p, q, r, t, n, d):
+    x, y = _FractionPair(p, q), _FractionPair(r, t)
+    a, b = QI.from_pair(p, q), QI.from_pair(r, t)
+    assert _agrees_qi(a, x) and _agrees_qi(b, y)
+    assert _agrees_qi(QI.from_pair(p, 0), _FractionPair(p, 0))
+    assert _agrees_qi(QI.from_pair(0, q), _FractionPair(0, q))
+    assert _agrees_qi(QI.from_pair(n, d), _FractionPair(n, d))
+    assert _agrees_qi(QI.from_fraction(n, d), _FractionPair(Fraction(n, d), 0))
+    assert _agrees_qi(QI.from_fraction(p), _FractionPair(p, 0))
+    assert _agrees_qi(QI.from_int(n), _FractionPair(n, 0))
+    assert _agrees_qi(a + b, x + y) and _agrees_qi(a - b, x - y) and _agrees_qi(a * b, x * y)
+    assert _agrees_qi(-a, -x) and _agrees_qi(a.conjugate(), x.conjugate()) and _agrees_qi(a**3, x**3)
+    # int promotion on either side
+    m = _FractionPair(n, 0)
+    assert _agrees_qi(a * n, x * m) and _agrees_qi(n + a, m + x) and _agrees_qi(n - a, m - x)
+    if y:
+        assert _agrees_qi(b.inverse(), y.inverse()) and _agrees_qi(a / b, x / y)
+        assert _agrees_qi(b**-2, y**-2) and _agrees_qi(n / b, m / y)
+    assert (a == b) == (x == y) and (a == n) == (x == m) and (a == a.conjugate()) == (x == x.conjugate())
+    # the raw routes: products of polynomials decode over a common
+    # denominator, a Polynomial times a Scalar scales the payloads, and
+    # exact_div decodes over a Gaussian integer
+    c = QI.from_pair(Fraction(n, d), 1)
+    z = _FractionPair(Fraction(n, d), 1)
+    f = Polynomial(QI, 1, {(0,): a, (1,): c})
+    g = Polynomial(QI, 1, {(0,): b, (2,): QI.from_pair(0, 1)})
+    if a and b:
+        assert all(_agrees_qi(h.terms[e], ref) for h, e, ref in [
+            (f * g, (0,), x * y), (f * g, (1,), z * y), (f * g, (2,), x * _FractionPair(0, 1)),
+            (f * g, (3,), z * _FractionPair(0, 1)), (f * b, (0,), x * y), (f * b, (1,), z * y),
+        ])
+        q = exact_div(f * g, g)
+        assert q == f and _agrees_qi(q.terms[(0,)], x) and _agrees_qi(q.terms[(1,)], z)
 
 
 def _payload_reads(tree):
