@@ -1,8 +1,9 @@
 """Polynomial automorphisms of affine space with verified inverses.
 
-Every PolyAuto carries its inverse, and construction always checks
-symbolically that both compositions are the identity; nothing is ever
-assumed invertible.  A composite builds its inverse when first read.
+Every PolyAuto carries its inverse; nothing is ever assumed invertible.  One
+given by polynomials is checked symbolically (both compositions are the
+identity), one given by a matrix (affine_auto and all built on it) on its
+matrix.  A composite builds its inverse when first read.
 Composition follows the same convention as maps of projective space:
 compose(f, g) applies g first.
 """
@@ -26,7 +27,15 @@ from .errors import (
     SingularLinearPartError,
     SingularMatrixError,
 )
-from .poly import Polynomial, homogenize, parse_poly, poly_str, split_group, substitute_all
+from .poly import (
+    Polynomial,
+    _linear_forms,
+    homogenize,
+    parse_poly,
+    poly_str,
+    split_group,
+    substitute_all,
+)
 from .scalars import FieldKind, Scalar
 
 
@@ -65,9 +74,9 @@ class PolyAuto:
 
     @classmethod
     def _trusted(cls, field, dim, forward, inverse):
-        # composition and swapping preserve the inverse relation exactly,
-        # so re-running the symbolic check would only burn time; inverse
-        # may be a function that builds the components when first read
+        # the inverse relation holds already: checked on a matrix, or kept
+        # exactly by composition and swapping; inverse may be a function
+        # that builds the components when first read
         self = object.__new__(cls)
         self.field = field
         self.dim = dim
@@ -118,8 +127,7 @@ class PolyAuto:
 
 
 def identity_auto(field, d):
-    xs = [Polynomial.variable(field, d, v) for v in range(d)]
-    return PolyAuto(xs, xs)
+    return linear_auto(field, matrices.identity(field, d))
 
 
 @dataclass(frozen=True)
@@ -137,13 +145,10 @@ class TorusElement:
                 raise SingularLinearPartError("torus entries must be nonzero")
 
     def as_auto(self):
-        d = len(self.diagonal)
-        fwd = [Polynomial.variable(self.field, d, v) * a for v, a in enumerate(self.diagonal)]
-        inv = [
-            Polynomial.variable(self.field, d, v) * a.inverse()
-            for v, a in enumerate(self.diagonal)
-        ]
-        return PolyAuto(fwd, inv)
+        m = matrices.identity(self.field, len(self.diagonal))
+        for v, a in enumerate(self.diagonal):
+            m[v][v] = a
+        return linear_auto(self.field, m)
 
 
 def torus_auto(field, diag):
@@ -156,26 +161,7 @@ def permutation_auto(field, perm):
     d = len(perm)
     if sorted(perm) != list(range(d)):
         raise PreconditionError(f"{perm} is not a permutation of 0..{d - 1}")
-    inv_perm = [0] * d
-    for i, j in enumerate(perm):
-        inv_perm[j] = i
-    fwd = [Polynomial.variable(field, d, perm[i]) for i in range(d)]
-    inv = [Polynomial.variable(field, d, inv_perm[i]) for i in range(d)]
-    return PolyAuto(fwd, inv)
-
-
-def _linear_components(field, m, shift):
-    d = len(m)
-    comps = []
-    for i in range(d):
-        p = Polynomial.zero(field, d)
-        for j in range(d):
-            if m[i][j]:
-                p = p + Polynomial.variable(field, d, j) * m[i][j]
-        if shift[i]:
-            p = p + shift[i]
-        comps.append(p)
-    return comps
+    return linear_auto(field, [[int(j == perm[i]) for j in range(d)] for i in range(d)])
 
 
 def linear_auto(field, rows):
@@ -183,22 +169,34 @@ def linear_auto(field, rows):
 
 
 def affine_auto(field, rows, shift):
-    """x -> m*x + b with stored inverse x -> m^-1*(x - b)."""
+    """x -> m*x + b with stored inverse x -> m^-1*(x - b).
+
+    Both maps are read off the augmented matrix [[m, b], [0, 1]] and its
+    inverse, which one Gauss-Jordan run computes and one matrix product
+    checks, so the symbolic check of the constructor is not needed.
+    """
     m = matrices.from_rows(field, rows)
-    b = [field.from_int(x) if isinstance(x, int) else x for x in shift]
+    d = len(m)
+    if len(shift) != d:
+        raise DimMismatchError(f"shift of length {len(shift)} for {d} rows")
+    aug = matrices.from_rows(
+        field, [row + [b] for row, b in zip(m, shift)] + [[0] * len(m[0]) + [1]]
+    )
     try:
-        m_inv = matrices.inv(m)
+        aug_inv = matrices.inv(aug)
     except SingularMatrixError:
         raise SingularLinearPartError("linear part is singular") from None
-    b_inv = [-x for x in matrices.mat_vec(m_inv, b)]
-    return PolyAuto(
-        _linear_components(field, m, b), _linear_components(field, m_inv, b_inv)
-    )
+    if not matrices.mat_eq(matrices.mat_mul(aug, aug_inv), matrices.identity(field, d + 1)):
+        raise InverseCheckError("the matrix inverse does not invert the affine map")
+
+    def forms(a):
+        return _linear_forms(field, [row[:d] for row in a[:d]], [row[d] for row in a[:d]])
+
+    return PolyAuto._trusted(field, d, forms(aug), forms(aug_inv))
 
 
 def translation_auto(field, shift):
-    d = len(shift)
-    return affine_auto(field, matrices.identity(field, d), shift)
+    return affine_auto(field, matrices.identity(field, len(shift)), shift)
 
 
 def elementary_auto(field, d, i, p):
@@ -222,15 +220,10 @@ def elementary_auto(field, d, i, p):
 
 def embed_lower_linear(field, rows, d):
     """Embed a linear automorphism of the last d-1 coordinates into A^d."""
-    k = len(rows)
-    if k != d - 1:
+    if len(rows) != d - 1:
         raise DimMismatchError(f"expected a {d - 1}x{d - 1} matrix")
-    m = matrices.identity(field, d)
     small = matrices.from_rows(field, rows)
-    for i in range(k):
-        for j in range(k):
-            m[i + 1][j + 1] = small[i][j]
-    return linear_auto(field, m)
+    return linear_auto(field, [[1] + [0] * (d - 1)] + [[0] + row for row in small])
 
 
 def to_cremona(auto):

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .cocycles import Cocycle, trivialize
-from .cremona import CremonaMap, map_str, parse_map
+from .cremona import map_str, parse_map
 from .deformation import build_family, extendability
 from .errors import BiratError, ParseError
 from .linear import (
@@ -72,12 +72,7 @@ def _cmd_deform(args):
     f = parse_map(_read_arg(args.map), field)
     if args.at is not None:
         p = parse_point(_read_arg(args.at), field)
-        m = move_point_to_origin(p)
-        f = (
-            CremonaMap.from_proj_linear(m)
-            .compose(f)
-            .compose(CremonaMap.from_proj_linear(m.inverse()))
-        )
+        f = f.conjugate(move_point_to_origin(p))
     fam = build_family(f)
     verdict = extendability(fam)
     if args.json:

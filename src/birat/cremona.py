@@ -43,6 +43,8 @@ from .poly import (
     _decode_terms,
     _gcd_cofactors,
     _heap_key,
+    _linear_forms,
+    _linear_part,
     _monomial_str,
     _poly_str,
     _powers_at,
@@ -100,7 +102,7 @@ class CremonaMap:
         rank = None
         if degree == 1:
             # two linear forms that are not proportional share no factor
-            rank = _linear_rank(comps)
+            rank = matrices.rank(_linear_part(comps))
             reduced = rank > 1
         else:
             g, comps = _gcd_cofactors(comps)
@@ -115,11 +117,11 @@ class CremonaMap:
         self._store(comps, rank)
 
     @classmethod
-    def _trusted(cls, comps):
+    def _trusted(cls, comps, rank=None):
         # comps are homogeneous of one positive degree, with no common
         # factor, and the first nonzero one is monic
         self = object.__new__(cls)
-        self._store(comps, None)
+        self._store(comps, rank)
         return self
 
     def _store(self, comps, rank):
@@ -135,15 +137,13 @@ class CremonaMap:
 
     @classmethod
     def from_proj_linear(cls, m):
-        comps = []
-        n = m.dim + 1
-        for row in m.matrix:
-            terms = {}
-            for j, c in enumerate(row):
-                if c:
-                    terms[tuple(1 if t == j else 0 for t in range(n))] = c
-            comps.append(Polynomial(m.field, n, terms))
-        return cls(comps)
+        """The linear map given by a ProjLinear, stored without re-checking.
+
+        m is invertible, so its forms share no factor and the rank is d+1;
+        the first nonzero entry of its first row is 1, and that entry's
+        variable is the grevlex lead of the first form, so the map is monic.
+        """
+        return cls._trusted(_linear_forms(m.field, m.matrix), m.dim + 1)
 
     @property
     def dim(self):
@@ -158,8 +158,16 @@ class CremonaMap:
         if self._rank is None:
             if self.degree != 1:
                 return False
-            self._rank = _linear_rank(self.components)
+            self._rank = matrices.rank(_linear_part(self.components))
         return self._rank == len(self.components)
+
+    def conjugate(self, m):
+        """m o self o m^-1 for a ProjLinear m."""
+        return (
+            CremonaMap.from_proj_linear(m)
+            .compose(self)
+            .compose(CremonaMap.from_proj_linear(m.inverse()))
+        )
 
     def _is_identity(self):
         for v, c in enumerate(self.components):
@@ -270,13 +278,6 @@ class CremonaMap:
 
     def __repr__(self):
         return f"CremonaMap({self.field}, {self})"
-
-
-def _linear_rank(comps):
-    """Rank of the coefficient matrix of linear forms, one row per form."""
-    n = len(comps)
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return matrices.rank([[c.coefficient(e) for e in units] for c in comps])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .errors import (
     ZeroParameterError,
 )
 from .linear import ProjLinear, move_point_to_origin, origin_point
-from .poly import Polynomial, RationalFunction, jacobian, poly_str
+from .poly import Polynomial, RationalFunction, _linear_part, jacobian, poly_str
 from .scalars import Scalar
 
 __all__ = [
@@ -46,12 +46,10 @@ def scaling_map(t, dim):
         raise PreconditionError("scaling parameter must be a scalar")
     if not t:
         raise ZeroParameterError("scaling parameter must be nonzero")
-    field = t.field
-    n = dim + 1
-    comps = [Polynomial.variable(field, n, 0)]
-    for v in range(1, n):
-        comps.append(Polynomial.variable(field, n, v) * t)
-    return CremonaMap(comps)
+    m = matrices.identity(t.field, dim + 1)
+    for v in range(1, dim + 1):
+        m[v][v] = t
+    return CremonaMap.from_proj_linear(ProjLinear(t.field, m))
 
 
 @dataclass(frozen=True)
@@ -164,6 +162,7 @@ def extendability(fam):
     p_flags = []
     q_flags = []
     rows = []
+    zero = Polynomial.zero(field, d)
     for num_pieces, den_pieces in fam.chart_data:
         num = dict(num_pieces)
         den = dict(den_pieces)
@@ -171,21 +170,16 @@ def extendability(fam):
         q_i0 = den.get(0)
         p_flags.append(p_i0 is not None and not p_i0.is_zero)
         q_flags.append(q_i0 is None or q_i0.is_zero)
-        rows.append((num.get(0), q_i0))
+        rows.append((num.get(0, zero), q_i0))
     if any(p_flags) or any(q_flags):
         return ExtendabilityVerdict(
             False, tuple(p_flags), tuple(q_flags), False, None
         )
+    linear = _linear_part([p_i1 for p_i1, _ in rows])
     matrix = []
-    for p_i1, q_i0 in rows:
-        c = q_i0.constant_term()
-        inv = c.inverse()
-        row = []
-        for v in range(d):
-            exps = tuple(1 if t == v else 0 for t in range(d))
-            coeff = p_i1.coefficient(exps) if p_i1 is not None else field.zero()
-            row.append(coeff * inv)
-        matrix.append(row)
+    for row, (_, q_i0) in zip(linear, rows):
+        inv = q_i0.constant_term().inverse()
+        matrix.append([x * inv for x in row])
     if not matrices.det(matrix):
         return ExtendabilityVerdict(
             False, tuple(p_flags), tuple(q_flags), True, None
@@ -240,9 +234,8 @@ def commutator_family(f, alpha, p, f_inverse=None):
     if f_inverse is None:
         if f.degree != 1:
             raise MissingInverseError("no inverse known for a map of degree > 1")
-        m = [[c.coefficient(tuple(1 if t == j else 0 for t in range(f.dim + 1)))
-              for j in range(f.dim + 1)] for c in f.components]
-        f_inverse = CremonaMap.from_proj_linear(ProjLinear(f.field, m).inverse())
+        m = ProjLinear(f.field, _linear_part(f.components))
+        f_inverse = CremonaMap.from_proj_linear(m.inverse())
     ident = CremonaMap.identity(f.field, f.dim)
     if f.compose(f_inverse) != ident or f_inverse.compose(f) != ident:
         raise PreconditionError("supplied inverse does not invert the map")
@@ -253,13 +246,5 @@ def commutator_family(f, alpha, p, f_inverse=None):
         raise PreconditionError("conjugating automorphism must fix p and f(p)")
     if not f.is_local_isomorphism(p):
         raise PreconditionError("map must be a local isomorphism at the base point")
-    alpha_map = CremonaMap.from_proj_linear(alpha)
-    alpha_inv_map = CremonaMap.from_proj_linear(alpha.inverse())
-    comm = alpha_inv_map.compose(f_inverse).compose(alpha_map).compose(f)
-    mover = move_point_to_origin(p)
-    conj = (
-        CremonaMap.from_proj_linear(mover)
-        .compose(comm)
-        .compose(CremonaMap.from_proj_linear(mover.inverse()))
-    )
-    return build_family(conj)
+    comm = f_inverse.conjugate(alpha.inverse()).compose(f)
+    return build_family(comm.conjugate(move_point_to_origin(p)))

@@ -45,6 +45,8 @@ class ProjPoint:
         for x in coords:
             if isinstance(x, int):
                 x = field.from_int(x)
+            elif not isinstance(x, Scalar):
+                raise FieldMismatchError(f"coordinate {x!r} is not a scalar")
             elif x.field != field:
                 raise FieldMismatchError(f"{x.field} vs {field}")
             cs.append(x)

@@ -1110,6 +1110,33 @@ def dehomogenize(p):
 
 
 # ---------------------------------------------------------------------------
+# linear forms <-> coefficient matrices: the one place that converts
+
+
+def _linear_forms(field, rows, shift=None):
+    """The forms rows[i] . (x_0, ..., x_{n-1}) + shift[i], one per row.
+
+    Entries are scalars of field; each form's term dict is built directly.
+    """
+    n = len(rows[0])
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    forms = []
+    for i, row in enumerate(rows):
+        terms = {e: c for e, c in zip(units, row) if c}
+        if shift is not None and shift[i]:
+            terms[(0,) * n] = shift[i]
+        forms.append(Polynomial._raw(field, n, terms))
+    return forms
+
+
+def _linear_part(polys):
+    """The coefficient rows of x_0..x_{n-1} in polys, one row per polynomial."""
+    n = polys[0].nvars
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return [[p.coefficient(e) for e in units] for p in polys]
+
+
+# ---------------------------------------------------------------------------
 # rational functions
 
 

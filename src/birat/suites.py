@@ -254,10 +254,7 @@ def _involution_fixing_origin(field, d):
     """The standard involution conjugated so that it fixes [1:0:...:0]."""
     sig = standard_involution(field, d)
     ones = ProjPoint(field, [field.one()] * (d + 1))
-    m = move_point_to_origin(ones)
-    front = CremonaMap.from_proj_linear(m)
-    back = CremonaMap.from_proj_linear(m.inverse())
-    return front.compose(sig).compose(back)
+    return sig.conjugate(move_point_to_origin(ones))
 
 
 def corpus_positive_map(rng, field, d, degree_cap=6):
@@ -430,10 +427,7 @@ def _rand_small_cremona(rng, field, d):
     if r < 0.55:
         return standard_involution(field, d)
     if r < 0.8:
-        m = rand_proj_linear(rng, field, d)
-        front = CremonaMap.from_proj_linear(m)
-        back = CremonaMap.from_proj_linear(m.inverse())
-        return front.compose(standard_involution(field, d)).compose(back)
+        return standard_involution(field, d).conjugate(rand_proj_linear(rng, field, d))
     return to_cremona(rand_affine_auto(rng, field, d, 2))
 
 

@@ -1,8 +1,12 @@
 """Tests for polynomial automorphisms of affine space."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 import birat.affine
+from birat import matrices
 from birat.affine import (
     PolyAuto,
     affine_auto,
@@ -24,12 +28,15 @@ from birat.affine import (
 )
 from birat.cremona import parse_map
 from birat.errors import (
+    DimMismatchError,
+    FieldMismatchError,
     InverseCheckError,
     PreconditionError,
     SingularLinearPartError,
 )
 from birat.poly import Polynomial, parse_poly, substitute_all
 from birat.scalars import GF, QI, QQ
+from birat.suites import rand_invertible, rand_scalar
 
 
 def chart_poly(text, d=2):
@@ -128,6 +135,58 @@ def test_affine_auto():
     vals = [QQ.one(), QQ.one()]
     assert [str(v) for v in g.apply(vals)] == ["7", "0"]
     assert g.compose(g.inverted()) == identity_auto(QQ, 2)
+
+
+def _matrix_built(field, rng):
+    # one output of every constructor that takes a matrix, on random input
+    d = rng.randint(1, 3)
+    shift = [rand_scalar(rng, field, height=3) for _ in range(d)]
+    perm = list(range(d))
+    rng.shuffle(perm)
+    yield affine_auto(field, rand_invertible(rng, field, d), shift)
+    yield linear_auto(field, rand_invertible(rng, field, d))
+    yield translation_auto(field, shift)
+    yield torus_auto(field, [rand_scalar(rng, field, nonzero=True) for _ in range(d)])
+    yield permutation_auto(field, perm)
+    yield identity_auto(field, d)
+    yield embed_lower_linear(field, rand_invertible(rng, field, d), d + 1)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101), GF(2)], ids=str)
+def test_matrix_built_automorphisms_pass_the_symbolic_check(field):
+    # checked on their matrices, they must also pass the constructor's
+    # symbolic check, an independent route
+    rng = random.Random(7)
+    for _ in range(6):
+        for a in _matrix_built(field, rng):
+            assert PolyAuto(a.forward, a.inverse) == a
+
+
+def test_a_wrong_matrix_inverse_fails_the_matrix_check(monkeypatch):
+    true_inv = matrices.inv
+
+    def wrong_inv(a):
+        b = true_inv(a)
+        b[0][0] = b[0][0] + QQ.one()
+        return b
+
+    monkeypatch.setattr(birat.affine.matrices, "inv", wrong_inv)
+    with pytest.raises(InverseCheckError):
+        affine_auto(QQ, [[2, 1], [1, 1]], [3, 0])
+    with pytest.raises(InverseCheckError):
+        translation_auto(QQ, [1, 2])
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), "1", 1.5, GF(101).one()], ids=repr)
+def test_affine_auto_rejects_a_shift_entry_outside_the_field(bad):
+    with pytest.raises(FieldMismatchError):
+        affine_auto(QQ, [[1, 0], [0, 1]], [bad, 0])
+
+
+@pytest.mark.parametrize("shift", [[1], [1, 2, 3], []], ids=len)
+def test_affine_auto_rejects_a_shift_of_the_wrong_length(shift):
+    with pytest.raises(DimMismatchError):
+        affine_auto(QQ, [[1, 0], [0, 1]], shift)
 
 
 def test_permutation_auto():

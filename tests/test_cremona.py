@@ -132,6 +132,51 @@ def test_from_proj_linear():
     assert f.apply(p) == m.apply(p)
 
 
+def _first_row_zeros(rng, field, d, k):
+    # an invertible matrix whose first row starts with k zeros
+    while True:
+        rows = suites.rand_invertible(rng, field, d + 1)
+        rows[0][:k] = [field.zero()] * k
+        if matrices.det(rows):
+            return ProjLinear(field, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101), GF(2)], ids=str)
+def test_from_proj_linear_matches_the_validating_constructor(field, monkeypatch):
+    rank_calls = []
+    true_rank = matrices.rank
+
+    def counted(a):
+        rank_calls.append(len(a))
+        return true_rank(a)
+
+    monkeypatch.setattr(cremona_module.matrices, "rank", counted)
+    rng = random.Random(3)
+    for d in (1, 2, 3):
+        ms = [suites.rand_proj_linear(rng, field, d) for _ in range(4)]
+        ms += [_first_row_zeros(rng, field, d, k) for k in range(1, d + 1)]
+        for m in ms:
+            f = CremonaMap.from_proj_linear(m)
+            assert f._is_automorphism()
+            assert rank_calls == []
+            assert CremonaMap(list(f.components)) == f
+            rank_calls.clear()
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101), GF(2)], ids=str)
+def test_conjugate_is_the_three_factor_composition(field):
+    rng = random.Random(5)
+    for d in (2, 3):
+        for f in (standard_involution(field, d), suites._rand_small_cremona(rng, field, d)):
+            m = suites.rand_proj_linear(rng, field, d)
+            by_hand = (
+                CremonaMap.from_proj_linear(m)
+                .compose(f)
+                .compose(CremonaMap.from_proj_linear(m.inverse()))
+            )
+            assert f.conjugate(m) == by_hand
+
+
 def test_chart_of_involution():
     s = mp(SIGMA)
     chart = s.to_chart()

@@ -1,6 +1,7 @@
 """Tests for projective points, linear maps, and the SL_n toolbox."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from birat.errors import (
     BadEigenvalueError,
     BadModulusError,
     DegeneratePairError,
+    FieldMismatchError,
     NotUnimodularError,
     ParseError,
     PreconditionError,
@@ -52,6 +54,12 @@ def test_point_canonical_form():
     assert point_str(pt("[0:3:6]")) == "[0:1:2]"
     with pytest.raises(PreconditionError):
         pt("[0:0]")
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), "1", 1.5, GF(101).one()], ids=repr)
+def test_point_rejects_a_coordinate_outside_the_field(bad):
+    with pytest.raises(FieldMismatchError):
+        ProjPoint(QQ, [bad, 1])
 
 
 def test_enumerate_points():

@@ -1535,3 +1535,15 @@ def test_packed_keys_hold_the_edge_exponents(name, k):
         assert _naive_outcome(lambda: exact_div(a, b).terms) == expected
         if k:
             assert expected == (InexactDivisionError, "division leaves a nonzero remainder")
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101), GF(2)], ids=str)
+def test_linear_forms_and_linear_part_convert_both_ways(field):
+    rows = [[field.from_int(k) for k in row] for row in ([0, 2, 1], [3, 0, 0])]
+    shift = [field.from_int(5), field.zero()]
+    forms = poly._linear_forms(field, rows)
+    assert forms == [parse_poly("2*x1 + x2", field, 3), parse_poly("3*x0", field, 3)]
+    assert poly._linear_part(forms) == rows
+    shifted = poly._linear_forms(field, rows, shift)
+    assert shifted[0] == forms[0] + field.from_int(5) and shifted[1] == forms[1]
+    assert poly._linear_part(shifted) == rows
