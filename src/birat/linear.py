@@ -121,8 +121,9 @@ class ProjLinear:
     @classmethod
     def _trusted(cls, field, m):
         # m is square and invertible because its operands are (a product,
-        # inverse, transpose-inverse or twist of invertible matrices), so
-        # the determinant check would only burn time
+        # inverse, transpose-inverse or twist of invertible matrices) or
+        # because its caller has just taken its determinant, so the check
+        # would only burn time
         self = object.__new__(cls)
         self._normalize(field, m)
         return self

@@ -54,17 +54,15 @@ class _Monomials:
 
     Graded keys carry the total degree in one more field on top, so that
     int order on them is a graded monomial order.  One instance lives for
-    one call; a shared one unpacks each key once, however many of the term
-    dicts that it decodes hold it.
+    one call.
     """
 
-    __slots__ = ("n", "width", "graded", "seen")
+    __slots__ = ("n", "width", "graded")
 
-    def __init__(self, n, bound, graded=False, shared=False):
+    def __init__(self, n, bound, graded=False):
         self.n = n
         self.width = 8 if bound < 128 else bound.bit_length() + 1
         self.graded = graded
-        self.seen = {} if shared else None
 
     def pack(self, monomials):
         """The keys of the exponent tuples in monomials (a dict or a list)."""
@@ -79,12 +77,11 @@ class _Monomials:
 
     def unpack(self, keys):
         """The exponent tuples of keys (a dict or a set), which carry no degree."""
-        seen = self.seen
-        if seen is None:
-            return self._tuples(keys)
-        new = set(keys).difference(seen) if seen else keys
-        seen.update(zip(new, self._tuples(new)))
-        return map(seen.__getitem__, keys)
+        n, w = self.n, self.width
+        if w == 8:
+            return [tuple(k.to_bytes(n, "little")) for k in keys]
+        mask = (1 << w) - 1
+        return [tuple(k >> w * v & mask for v in range(n)) for k in keys]
 
     def lead(self, keys):
         """The key of the grevlex-largest of monomials of one degree.
@@ -92,13 +89,6 @@ class _Monomials:
         It is the least: the last variable's field is the most significant.
         """
         return min(keys)
-
-    def _tuples(self, keys):
-        n, w = self.n, self.width
-        if w == 8:
-            return [tuple(k.to_bytes(n, "little")) for k in keys]
-        mask = (1 << w) - 1
-        return [tuple(k >> w * v & mask for v in range(n)) for k in keys]
 
 
 def _encode_terms(field, terms, den, monos=None, weights=None):
@@ -132,14 +122,9 @@ def _raw_kernels(field):
     return tuple(map(reduced, kernels))
 
 
-def grevlex_key(exps):
-    # larger key <=> larger monomial in grevlex
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 def _heap_key(exps):
-    # smaller key <=> larger monomial in grevlex; exact_div's min-heap,
-    # poly_str's sort and leading_term's min() all order terms by it
+    # smaller key <=> larger monomial in grevlex; the one grevlex key, by
+    # which poly_str, leading_term, the gcd images and _content_in order
     return (-sum(exps), exps[::-1])
 
 
@@ -462,7 +447,7 @@ def _substitute_raw(fs, polys):
     # no exponent of a result, nor of polys, passes top (or 1) times the
     # largest degree in polys
     bound = max(top, 1) * max(g.total_degree or 0 for g in polys)
-    monos = _Monomials(polys[0].nvars, bound, shared=len(fs) > 1)
+    monos = _Monomials(polys[0].nvars, bound)
     pows = [{1: _encode_terms(field, g.terms, den, monos)} for g in polys]
     mul, add, _ = _raw_kernels(field)
     nvars = len(polys)
@@ -781,15 +766,15 @@ def _gcd_modular(a, b, vs, ea, eb, bounds):
                 break
             if len(g) == 1 and not any(next(iter(g))):
                 return Polynomial.one(field, a.nvars), a, b
-            lm = max(g, key=grevlex_key)
+            lm = min(g, key=_heap_key)
             inv = pow(g[lm], -1, p)
             images.append({e: c * inv % p for e, c in g.items()})
         else:
-            lms = {max(g, key=grevlex_key) for g in images}
+            lms = {min(g, key=_heap_key) for g in images}
             if len(lms) > 1:
                 continue  # one embedding is unlucky
             lm = lms.pop()
-            if lead is None or grevlex_key(lm) < grevlex_key(lead):
+            if lead is None or _heap_key(lm) > _heap_key(lead):
                 lead, acc, cand, modulus = lm, None, None, 1
             elif lm != lead:
                 continue  # an unlucky prime
@@ -857,10 +842,12 @@ def _coeffs_in(p, v):
 
 
 def _content_in(p, v):
-    # smallest coefficients first, so that the gcd drops fast
+    # smallest coefficients first, so that the gcd drops fast: by degree,
+    # length, then the grevlex-least lead (a stable sort, reversed)
     coeffs = sorted(
         _coeffs_in(p, v).values(),
-        key=lambda q: (q.total_degree, len(q.terms), grevlex_key(q.leading_term()[0])),
+        key=lambda q: (-q.total_degree, -len(q.terms), _heap_key(q.leading_term()[0])),
+        reverse=True,
     )
     g = coeffs[0]
     for q in coeffs[1:]:
@@ -922,13 +909,16 @@ def _gcd_rec(a, b):
 
 
 def _gcd_pair(a, b):
-    """(g, a/g, b/g): a gcd g of nonzero a and b, up to a scalar factor.
+    """(g, a/g, b/g): the monic gcd g of nonzero a and b, and the quotients.
 
     The one pair routine: the monomial content is split off, the certificate
     bounds the gcd's degree in each variable on one image, Brown's method
     runs within those bounds, and the normalized PRS takes over where it
-    gives up.  The quotients are those that verified g, or a and b where g
-    is 1; after the PRS they are unknown, and None.
+    gives up.  Every route returns quotients checked by division: those
+    that verified the modular gcd, whose images are monic at their grevlex
+    lead; a and b where g is 1; and after the PRS, whose gcd is made monic
+    here, the quotients of dividing by it, so that a wrong one raises
+    InexactDivisionError.
     """
     ma, pa = a.split_monomial_content()
     mb, pb = b.split_monomial_content()
@@ -937,13 +927,16 @@ def _gcd_pair(a, b):
         vs, ea, eb, bounds = _certificate(pa, pb)
         if any(bounds):
             found = _gcd_modular(pa, pb, vs, ea, eb, bounds)
-            g, qa, qb = found if found is not None else (_gcd_rec(pa, pb), None, None)
+            if found is None:
+                g = _gcd_rec(pa, pb).monic()
+                found = g, exact_div(pa, g), exact_div(pb, g)
+            g, qa, qb = found
     m = tuple(map(min, ma, mb))
     if not any(m) and qa is pa:
         return g, a, b  # g is 1: a and b are their own quotients
     shifts = m, tuple(map(sub, ma, m)), tuple(map(sub, mb, m))
     return tuple(
-        q * Polynomial.monomial(q.field, q.nvars, e) if q is not None and any(e) else q
+        q * Polynomial.monomial(q.field, q.nvars, e) if any(e) else q
         for q, e in zip((g, qa, qb), shifts)
     )
 
@@ -960,7 +953,7 @@ def poly_gcd(a, b):
         return b.monic()
     if b.is_zero:
         return a.monic()
-    return _gcd_pair(a, b)[0].monic()
+    return _gcd_pair(a, b)[0]
 
 
 _COMBINATION_TRIES = 3
@@ -984,11 +977,9 @@ def _gcd_cofactors(ps):
     """poly_gcd_list(ps) and every member divided by it, in the order given.
 
     A family of two nonzero members, as every fraction is, takes its gcd
-    and both quotients from _gcd_pair, which returns the quotients that
-    verified the gcd; they are scaled for the monic gcd, and a member is
-    divided only where its quotient is unknown, after the PRS.  In any
-    other family with a monomial member the gcd divides that monomial, so
-    it is the largest monomial dividing every member: no gcd runs.  The
+    and both quotients from _gcd_pair, which checked them by division.  In
+    any other family with a monomial member the gcd divides that monomial,
+    so it is the largest monomial dividing every member: no gcd runs.  The
     rest goes through poly_gcd, once per random combination or link of the
     chain, and dividing its members by the result checks it; a monomial
     gcd divides by shifting exponents.
@@ -1001,7 +992,9 @@ def _gcd_cofactors(ps):
     if not order:
         raise PreconditionError("gcd of an all-zero family")
     if len(order) == 2:
-        return _pair_cofactors(ps, *order)
+        quos = list(ps)
+        g, quos[order[0]], quos[order[1]] = _gcd_pair(ps[order[0]], ps[order[1]])
+        return g, quos
     head, rest = ps[order[0]], [ps[k] for k in order[1:]]
     field = head.field
     if any(len(ps[k].terms) == 1 for k in order):
@@ -1063,26 +1056,11 @@ def _divided(ps, g):
     return g, quos
 
 
-def _pair_cofactors(ps, i, j):
-    # _gcd_cofactors of a family whose nonzero members are ps[i] and ps[j]
-    quos = [None] * len(ps)
-    g, quos[i], quos[j] = _gcd_pair(ps[i], ps[j])
-    if g.is_constant:
-        return g.monic(), ps
-    lc = g.leading_coefficient()
-    if lc != 1:
-        g = g * lc.inverse()
-        quos = [q if q is None else q * lc for q in quos]
-    for k, p in enumerate(ps):
-        if quos[k] is None:
-            quos[k] = exact_div(p, g) if p else p
-    return g, quos
-
-
 def poly_lcm(a, b):
     if a.is_zero or b.is_zero:
         raise PreconditionError("lcm with a zero polynomial")
-    return (a * exact_div(b, poly_gcd(a, b))).monic()
+    a._check_compatible(b)
+    return (a * _gcd_pair(a, b)[2]).monic()
 
 
 # ---------------------------------------------------------------------------

@@ -612,6 +612,88 @@ def test_gcd_list_over_a_small_field_runs_the_pairwise_chain(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the verified fallback: every route returns the monic gcd and quotients
+# checked by division
+
+# (gcd, a/gcd, b/gcd): a shared factor; a shared factor and monomial content
+# on both sides; a monomial gcd of a coprime pair
+_FALLBACK_PAIRS = [
+    ("2*x0^2 + 3/2*x1*x2 - {u}*x2 + 2", "3*x0 - x1 + 5", "x1^2 + x0*x2 + 1"),
+    ("x0*x1^2*(x1 + 2)*(5*x2^2 + x0*x1 + 3*{u})", "x0^2*(x0 - x1 + 5)", "2*x2*(x1*x2 + x0 + 1)"),
+    ("3*x1*x2", "x0^2 + x2", "x0*(x1 + {u})"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_FALLBACK_PAIRS)))
+@pytest.mark.parametrize("field", [QQ, QI, GF(101)], ids=str)
+def test_the_prs_fallback_returns_the_modular_routes_monic_gcd_and_quotients(
+    monkeypatch, field, case
+):
+    unit = "i" if field is QI else "1"
+    g, fa, fb = (parse_poly(t.format(u=unit), field, 3) for t in _FALLBACK_PAIRS[case])
+    a, b = g * fa, g * fb
+    modular = poly._gcd_pair(a, b)
+    monkeypatch.setattr(poly, "_gcd_modular", lambda *args: None)
+    prs = _spy(monkeypatch, poly, "_gcd_rec")
+    forced = poly._gcd_pair(a, b)
+    assert forced == modular
+    gcd, qa, qb = forced
+    assert gcd == g.monic() and gcd.leading_coefficient() == 1
+    assert gcd * qa == a and gcd * qb == b
+    # the coprime cofactors of the monomial gcd need no PRS
+    assert bool(prs) == (case < 2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(2), GF(3)], ids=str)
+def test_a_wrong_prs_gcd_fails_its_division_check(monkeypatch, field):
+    # over Q and F_101 the modular route is switched off; over F_2 and F_3
+    # the PRS is the only route
+    monkeypatch.setattr(poly, "_gcd_modular", lambda *args: None)
+    g = parse_poly("x0^2 + x1*x2 + 1", field, 3)
+    a = g * parse_poly("x0 + x1 + 1", field, 3)
+    b = g * parse_poly("x1*x2 + x0 + 1", field, 3)
+    planted = []
+
+    def wrong_prs(pa, pb):
+        planted.append((pa, pb))
+        return g * parse_poly("x0 + 1", field, 3)
+
+    monkeypatch.setattr(poly, "_gcd_rec", wrong_prs)
+    with pytest.raises(InexactDivisionError):
+        poly_gcd(a, b)
+    with pytest.raises(InexactDivisionError):
+        RationalFunction(a, b)
+    assert planted
+
+
+@st.composite
+def _small_field_polys(draw, field, nvars=3, max_degree=2):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_degree)] * nvars),
+        st.integers(1, field.modulus - 1),
+        max_size=4,
+    ))
+    return Polynomial(field, nvars, {e: field.from_int(c) for e, c in terms.items()})
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_small_field_gcds_return_checked_quotients(data):
+    # over F_2 and F_3 the PRS decides every gcd with a nontrivial factor
+    field = data.draw(st.sampled_from([GF(2), GF(3)]))
+    common = data.draw(_small_field_polys(field))
+    ps = [common * data.draw(_small_field_polys(field)) for _ in range(data.draw(st.integers(2, 4)))]
+    assume(any(ps))
+    g, quos = poly._gcd_cofactors(ps)
+    assert g.leading_coefficient() == 1
+    assert len(quos) == len(ps)
+    assert all(q is not None and g * q == p for p, q in zip(ps, quos))
+    a, b = ps[:2]
+    if a and b:
+        assert poly_lcm(a, b) == (a * exact_div(b, poly_gcd(a, b))).monic()
+
+
+# ---------------------------------------------------------------------------
 # the one-line coprimality certificate, the bounds shortcut and one-prime gcds
 
 
