@@ -3,7 +3,11 @@
 Every PolyAuto carries its inverse; nothing is ever assumed invertible.  One
 given by polynomials is checked symbolically (both compositions are the
 identity), one given by a matrix (affine_auto and all built on it) on its
-matrix.  A composite builds its inverse when first read.
+matrix.  A map given by a matrix keeps it, with its shift and their
+inverses, and two such maps compose by matrix products, with no
+substitution.  Any other composite substitutes, where an affine component
+costs a linear combination (poly._substitute_raw), and builds its inverse
+when first read.
 Composition follows the same convention as maps of projective space:
 compose(f, g) applies g first.
 """
@@ -42,7 +46,7 @@ from .scalars import FieldKind, Scalar
 class PolyAuto:
     """An automorphism of A^d given by forward and inverse component tuples."""
 
-    __slots__ = ("field", "dim", "forward", "_inverse")
+    __slots__ = ("field", "dim", "forward", "_inverse", "_affine")
 
     def __init__(self, forward, inverse):
         forward = tuple(forward)
@@ -60,6 +64,7 @@ class PolyAuto:
         self.dim = d
         self.forward = forward
         self._inverse = inverse
+        self._affine = None
         self._verify()
 
     def _verify(self):
@@ -73,15 +78,18 @@ class PolyAuto:
                 raise InverseCheckError(f"inverse o forward != id in component {v + 1}")
 
     @classmethod
-    def _trusted(cls, field, dim, forward, inverse):
+    def _trusted(cls, field, dim, forward, inverse, affine=None):
         # the inverse relation holds already: checked on a matrix, or kept
         # exactly by composition and swapping; inverse may be a function
-        # that builds the components when first read
+        # that builds the components when first read.  affine is
+        # (m, b, m^-1, b') for x -> m*x + b and its inverse x -> m^-1*x + b',
+        # given where the components are these forms
         self = object.__new__(cls)
         self.field = field
         self.dim = dim
         self.forward = tuple(forward)
         self._inverse = inverse if callable(inverse) else tuple(inverse)
+        self._affine = affine
         return self
 
     @property
@@ -96,11 +104,22 @@ class PolyAuto:
         return max(c.total_degree for c in self.forward)
 
     def compose(self, other):
-        """self after other."""
+        """self after other; on the matrices where both are given by them."""
         if self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
         if self.dim != other.dim:
             raise DimMismatchError(f"dimension {self.dim} vs {other.dim}")
+        if self._affine is not None and other._affine is not None:
+            m1, b1, n1, c1 = self._affine
+            m2, b2, n2, c2 = other._affine
+            # x -> m1*(m2*x + b2) + b1, undone by x -> n2*(n1*x + c1) + c2
+            return _affine_map(
+                self.field,
+                matrices.mat_mul(m1, m2),
+                [x + y for x, y in zip(matrices.mat_vec(m1, b2), b1)],
+                matrices.mat_mul(n2, n1),
+                [x + y for x, y in zip(matrices.mat_vec(n2, c1), c2)],
+            )
         fwd = substitute_all(self.forward, other.forward)
 
         def inv():
@@ -109,7 +128,8 @@ class PolyAuto:
         return PolyAuto._trusted(self.field, self.dim, fwd, inv)
 
     def inverted(self):
-        return PolyAuto._trusted(self.field, self.dim, self.inverse, self.forward)
+        affine = None if self._affine is None else self._affine[2:] + self._affine[:2]
+        return PolyAuto._trusted(self.field, self.dim, self.inverse, self.forward, affine)
 
     def apply(self, vals):
         return [c.evaluate(vals) for c in self.forward]
@@ -169,30 +189,39 @@ def linear_auto(field, rows):
 
 
 def affine_auto(field, rows, shift):
-    """x -> m*x + b with stored inverse x -> m^-1*(x - b).
+    """x -> m*x + b with stored inverse x -> m^-1*x + b', where b' = -m^-1*b.
 
-    Both maps are read off the augmented matrix [[m, b], [0, 1]] and its
-    inverse, which one Gauss-Jordan run computes and one matrix product
-    checks, so the symbolic check of the constructor is not needed.
+    Only m is inverted, by one Gauss-Jordan run.  One matrix product checks
+    the inverse and its shift together, m*[m^-1 | b'] = [1 | -b], so the
+    symbolic check of the constructor is not needed.  The map keeps the
+    four, and composes with another map built here on them.
     """
     m = matrices.from_rows(field, rows)
     d = len(m)
     if len(shift) != d:
         raise DimMismatchError(f"shift of length {len(shift)} for {d} rows")
-    aug = matrices.from_rows(
-        field, [row + [b] for row, b in zip(m, shift)] + [[0] * len(m[0]) + [1]]
-    )
+    (b,) = matrices.from_rows(field, [shift])
     try:
-        aug_inv = matrices.inv(aug)
+        m_inv = matrices.inv(m)
     except SingularMatrixError:
         raise SingularLinearPartError("linear part is singular") from None
-    if not matrices.mat_eq(matrices.mat_mul(aug, aug_inv), matrices.identity(field, d + 1)):
+    b_inv = [-x for x in matrices.mat_vec(m_inv, b)]
+    product = matrices.mat_mul(m, [row + [x] for row, x in zip(m_inv, b_inv)])
+    expected = [row + [-x] for row, x in zip(matrices.identity(field, d), b)]
+    if not matrices.mat_eq(product, expected):
         raise InverseCheckError("the matrix inverse does not invert the affine map")
+    return _affine_map(field, m, b, m_inv, b_inv)
 
-    def forms(a):
-        return _linear_forms(field, [row[:d] for row in a[:d]], [row[d] for row in a[:d]])
 
-    return PolyAuto._trusted(field, d, forms(aug), forms(aug_inv))
+def _affine_map(field, m, b, m_inv, b_inv):
+    # x -> m*x + b, whose inverse x -> m_inv*x + b_inv is known to be one
+    return PolyAuto._trusted(
+        field,
+        len(m),
+        _linear_forms(field, m, b),
+        _linear_forms(field, m_inv, b_inv),
+        (m, b, m_inv, b_inv),
+    )
 
 
 def translation_auto(field, shift):

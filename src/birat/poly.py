@@ -429,9 +429,12 @@ def _substitute_raw(fs, polys):
     Returns (raws, den, monos): raws[k] / den is fs[k] with polys[v] put for
     variable v, its monomials packed by the _Monomials monos.  fs share a
     field and an arity, len(polys) of them, and the polys are in that field
-    and of one arity.  Horner's rule in one variable after another: each
-    step multiplies by one substituted polynomial, or a power of it cached
-    across all of fs, never by a product of several powers.  The polys are encoded once: with D their
+    and of one arity.  An f of total degree at most 1 is a linear
+    combination, sum of c_v*polys[v] plus c_0, and costs one scaling and one
+    addition per term, no product.  Any other f runs Horner's rule in one
+    variable after another: each step multiplies by one substituted
+    polynomial, or a power of it cached across all of fs, never by a
+    product of several powers.  The polys are encoded once: with D their
     common denominator, E that of all of fs and N the largest total degree
     in fs, the term c*x^e enters as the integer E*c*D^(N-|e|) and the
     substituted polys as D*polys[v], so every sum comes out over E*D^N,
@@ -439,7 +442,8 @@ def _substitute_raw(fs, polys):
     """
     field = fs[0].field
     den = field._den([c for g in polys for c in g.terms.values()])
-    top = max((sum(e) for f in fs for e in f.terms), default=0)
+    term_degrees = [[sum(e) for e in f.terms] for f in fs]
+    top = max((max(ks, default=0) for ks in term_degrees), default=0)
     dpow = [1]
     for _ in range(top):
         dpow.append(dpow[-1] * den)
@@ -449,7 +453,7 @@ def _substitute_raw(fs, polys):
     bound = max(top, 1) * max(g.total_degree or 0 for g in polys)
     monos = _Monomials(polys[0].nvars, bound)
     pows = [{1: _encode_terms(field, g.terms, den, monos)} for g in polys]
-    mul, add, _ = _raw_kernels(field)
+    mul, add, scale = _raw_kernels(field)
     nvars = len(polys)
 
     def power(v, k):
@@ -472,12 +476,21 @@ def _substitute_raw(fs, polys):
             acc = mul(acc, power(v, degrees[-1]))
         return acc
 
-    raws = [
-        horner(_encode_terms(field, f.terms, fden, None, [dpow[top - sum(e)] for e in f.terms]), 0)
-        if f.terms
-        else {}
-        for f in fs
-    ]
+    def combination(terms):
+        # the same sum as horner, folded as horner folds it (from the last
+        # variable, the constant innermost), so the terms come in its order
+        acc = {}
+        for e in sorted(terms):
+            acc = add(scale(pows[e.index(1)][1], terms[e]), acc) if any(e) else {0: terms[e]}
+        return acc
+
+    raws = []
+    for f, ks in zip(fs, term_degrees):
+        if not ks:
+            raws.append({})
+            continue
+        terms = _encode_terms(field, f.terms, fden, None, [dpow[top - k] for k in ks])
+        raws.append(combination(terms) if max(ks) <= 1 else horner(terms, 0))
     return raws, fden * dpow[top], monos
 
 
@@ -1108,10 +1121,20 @@ def _linear_forms(field, rows, shift=None):
 
 
 def _linear_part(polys):
-    """The coefficient rows of x_0..x_{n-1} in polys, one row per polynomial."""
-    n = polys[0].nvars
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return [[p.coefficient(e) for e in units] for p in polys]
+    """The coefficient rows of x_0..x_{n-1} in polys, one row per polynomial.
+
+    Each row is read in one pass over the polynomial's terms; every entry
+    not among them is the one zero of the field.
+    """
+    zero = polys[0].field.zero()
+    rows = []
+    for p in polys:
+        row = [zero] * p.nvars
+        for e, c in p.terms.items():
+            if sum(e) == 1:
+                row[e.index(1)] = c
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

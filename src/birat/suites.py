@@ -41,6 +41,7 @@ from .errors import (
     ChartDegenerateError,
     NotACocycleError,
     PreconditionError,
+    SingularLinearPartError,
     ZeroMapError,
 )
 from .linear import (
@@ -172,12 +173,13 @@ def rand_proj_point(rng, field, dim):
             return ProjPoint(field, coords)
 
 
+def _rand_rows(rng, field, n, height):
+    return [[rand_scalar(rng, field, height=height) for _ in range(n)] for _ in range(n)]
+
+
 def rand_invertible(rng, field, n, height=3):
     while True:
-        rows = [
-            [rand_scalar(rng, field, height=height) for _ in range(n)] for _ in range(n)
-        ]
-        m = matrices.from_rows(field, rows)
+        m = matrices.from_rows(field, _rand_rows(rng, field, n, height))
         if matrices.det(m):
             return m
 
@@ -204,7 +206,13 @@ def rand_special_linear(rng, field, n, factors=6):
 
 
 def rand_linear_fixing_origin(rng, field, d):
-    return linear_auto(field, rand_invertible(rng, field, d))
+    # draws as rand_invertible does; the inversion that linear_auto runs
+    # anyway rejects a singular draw
+    while True:
+        try:
+            return linear_auto(field, _rand_rows(rng, field, d, 3))
+        except SingularLinearPartError:
+            pass
 
 
 def rand_shear(rng, field, d, max_degree, fix_origin=True):

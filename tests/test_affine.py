@@ -155,11 +155,24 @@ def _matrix_built(field, rng):
 @pytest.mark.parametrize("field", [QQ, QI, GF(101), GF(2)], ids=str)
 def test_matrix_built_automorphisms_pass_the_symbolic_check(field):
     # checked on their matrices, they must also pass the constructor's
-    # symbolic check, an independent route
+    # symbolic check, an independent route; so must their inverses and the
+    # composites made by matrix products, which must also be the maps that
+    # substitution makes
     rng = random.Random(7)
     for _ in range(6):
-        for a in _matrix_built(field, rng):
+        built = list(_matrix_built(field, rng))
+        for a in built:
             assert PolyAuto(a.forward, a.inverse) == a
+            b = a.inverted()
+            assert PolyAuto(b.forward, b.inverse) == b
+        for a, b in zip(built, built[1:]):
+            if a.dim != b.dim:
+                continue
+            for c in (a.compose(b), b.inverted().compose(a), a.compose(b).inverted()):
+                assert c._affine is not None
+                assert PolyAuto(c.forward, c.inverse) == c
+            assert a.compose(b).forward == tuple(substitute_all(a.forward, b.forward))
+            assert a.compose(b).inverse == tuple(substitute_all(b.inverse, a.inverse))
 
 
 def test_a_wrong_matrix_inverse_fails_the_matrix_check(monkeypatch):
@@ -175,6 +188,71 @@ def test_a_wrong_matrix_inverse_fails_the_matrix_check(monkeypatch):
         affine_auto(QQ, [[2, 1], [1, 1]], [3, 0])
     with pytest.raises(InverseCheckError):
         translation_auto(QQ, [1, 2])
+
+
+def test_a_wrong_inverse_shift_fails_the_matrix_check(monkeypatch):
+    # the inverse shift comes from mat_vec; the check is one product by
+    # mat_mul, so it does not repeat the error
+    true_mat_vec = matrices.mat_vec
+
+    def wrong_mat_vec(a, v):
+        w = true_mat_vec(a, v)
+        w[-1] = w[-1] + QQ.one()
+        return w
+
+    monkeypatch.setattr(birat.affine.matrices, "mat_vec", wrong_mat_vec)
+    with pytest.raises(InverseCheckError):
+        affine_auto(QQ, [[2, 1], [1, 1]], [3, 0])
+    with pytest.raises(InverseCheckError):
+        translation_auto(QQ, [1, 2])
+    with pytest.raises(InverseCheckError):
+        linear_auto(QQ, [[1, 0], [0, 1]])
+
+
+def test_matrix_built_maps_compose_without_substituting(monkeypatch):
+    calls = []
+    real = birat.poly._substitute_raw
+
+    def counted(fs, polys):
+        calls.append(len(fs))
+        return real(fs, polys)
+
+    monkeypatch.setattr(birat.poly, "_substitute_raw", counted)
+    f = affine_auto(QQ, [[2, 1], [1, 1]], [3, -1])
+    g = torus_auto(QQ, [3, 5]).compose(translation_auto(QQ, [1, 2]))
+    h = f.compose(g).compose(f.inverted())
+    assert len(h.inverse) == 2 and calls == []
+    point = [QQ.one(), QQ.zero()]
+    assert h.apply(point) == f.apply(g.apply(f.inverted().apply(point)))
+    # a shear is no matrix: its composite substitutes
+    shear = elementary_auto(QQ, 2, 1, chart_poly("x2^2"))
+    calls.clear()
+    f.compose(shear)
+    assert calls == [2]
+
+
+def test_an_affine_left_factor_composes_without_products(monkeypatch):
+    from birat import _kernels
+
+    products = []
+    real = _kernels.mul_terms
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    rng = random.Random(11)
+    for field in (QQ, QI, GF(101), GF(2)):
+        for d in (2, 3):
+            a = affine_auto(field, rand_invertible(rng, field, d), [rand_scalar(rng, field) for _ in range(d)])
+            e = elementary_auto(field, d, 1, parse_poly("x2^3 - x2*x" + str(d), field, d, offset=1))
+            expected = substitute_all(a.forward, e.forward)
+            monkeypatch.setattr(_kernels, "mul_terms", counted)
+            got = a.compose(e)
+            monkeypatch.setattr(_kernels, "mul_terms", real)
+            assert products == []
+            assert list(got.forward) == expected
+            assert PolyAuto(got.forward, got.inverse) == got
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), "1", 1.5, GF(101).one()], ids=repr)

@@ -1174,6 +1174,85 @@ def test_substitute_and_product_match_the_scalar_route(name):
     assert len(((x0 + x1) * (x0 - x1)).terms) == 2
 
 
+# ---------------------------------------------------------------------------
+# polynomials of degree at most 1 substitute as linear combinations
+
+
+def _combination(f, gs):
+    # sum of c_v * gs[v] plus c_0, by Polynomial + and * alone
+    out = Polynomial.zero(f.field, gs[0].nvars)
+    for e, c in f.terms.items():
+        out = out + (gs[e.index(1)] * c if any(e) else Polynomial.constant(f.field, gs[0].nvars, c))
+    return out
+
+
+def _affine_cases(rng, field):
+    """(fs, gs): fs of degree at most 1 with one nonlinear f last, gs of
+    another arity; constants, zero components and cancellations included."""
+    cases = []
+    for _ in range(12):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        fs = [_rand_poly(rng, field, n, 1, rng.randint(0, n + 1)) for _ in range(3)]
+        gs = [_raw_route_polys(rng, field, m, 2, rng.randint(0, 3)) for _ in range(n)]
+        cases.append((fs + [_rand_poly(rng, field, n, 3, 4)], gs))
+    x = [Polynomial.variable(field, 3, v) for v in range(3)]
+    g = _raw_route_polys(rng, field, 2, 2, 3) + 1
+    c = _rand_coeff(rng, field)
+    cases.append((
+        [
+            x[0] - x[1],  # cancels to zero
+            x[0] + x[2] * c - 1,  # cancels to the constant c - 1
+            x[0] * c + x[1] * c,  # zero over F_2, since gs[1] = gs[0]
+            Polynomial.constant(field, 3, c),
+            Polynomial.zero(field, 3),
+            x[2] * x[2] - x[0],
+        ],
+        [g, g, -g * c.inverse() + 1],
+    ))
+    cases.append(([x[0] + 1, x[2] - x[1] * c], [g, Polynomial.zero(field, 2), g * g]))
+    return cases
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_affine_polynomials_substitute_as_their_linear_combination(name):
+    field = FIELDS[name]
+    rng = random.Random(f"affine/{name}")
+    for fs, gs in _affine_cases(rng, field):
+        got = substitute_all(fs, gs)
+        assert [h.nvars for h in got] == [gs[0].nvars] * len(fs)
+        for f, h in zip(fs, got):
+            if (f.total_degree or 0) <= 1:
+                assert h == _combination(f, gs)
+            else:
+                assert h == _reference_substitute(f, gs)
+    x = [Polynomial.variable(field, 3, v) for v in range(3)]
+    g = _raw_route_polys(rng, field, 2, 2, 3) + 1
+    assert substitute_all([x[0] - x[1], x[0] + x[1] - x[2] * 2], [g, g, g]) == [
+        Polynomial.zero(field, 2), Polynomial.zero(field, 2)]
+
+
+def _sympy_substitute(sp, f, gs):
+    xs = sp.symbols(f"x0:{f.nvars}")
+    ys = sp.symbols(f"y0:{gs[0].nvars}")
+    image = {x: _to_sympy(sp, g, ys).as_expr() for x, g in zip(xs, gs)}
+    expr = _to_sympy(sp, f, xs).as_expr().xreplace(image)
+    kind = f.field.kind
+    if kind is FieldKind.PRIME_FIELD:
+        h = sp.Poly(expr, *ys, modulus=f.field.modulus)
+    else:
+        h = sp.Poly(expr, *ys, domain=sp.QQ if kind is FieldKind.RATIONAL else sp.QQ_I)
+    return _from_sympy(sp, h, f.field, len(ys))
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_affine_substitution_matches_sympy(name):
+    sp = pytest.importorskip("sympy")
+    field = FIELDS[name]
+    rng = random.Random(f"affine-sympy/{name}")
+    for fs, gs in _affine_cases(rng, field):
+        assert substitute_all(fs, gs) == [_sympy_substitute(sp, f, gs) for f in fs]
+
+
 def test_substitute_runs_on_raw_values(monkeypatch):
     from birat import _kernels
     from birat.scalars import Scalar

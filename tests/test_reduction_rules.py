@@ -217,6 +217,27 @@ def test_composing_with_a_linear_map_encodes_it_once_and_decodes_monic(field, mo
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("dim", (3, 4))
+def test_a_linear_left_factor_composes_without_products(field, dim, monkeypatch):
+    # L o F is a linear combination of the components of F: no term product,
+    # where F is the standard involution, a quadratic map or a linear map
+    from birat import _kernels
+    from birat.suites import rand_proj_linear
+
+    rng = random.Random(f"linear-left/{field}/{dim}")
+    lin = CremonaMap.from_proj_linear(rand_proj_linear(rng, field, dim))
+    rights = [
+        standard_involution(field, dim),
+        _quadratic_map(rng, field, dim + 1),
+        CremonaMap.from_proj_linear(rand_proj_linear(rng, field, dim)),
+    ]
+    expected = [_composed([c.substitute(list(f.components)) for c in lin.components]) for f in rights]
+    products = _spy(monkeypatch, _kernels, "mul_terms")
+    assert [lin.compose(f) for f in rights] == expected
+    assert products == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_composing_without_a_linear_factor_encodes_the_right_factor_once(field, monkeypatch):
     f = parse_map("P^3: [x0^2 + x1^2 + 3*x1*x2 : x0*x1 : 0 : 2*x1*x3 - x2^2]", field)
     g = parse_map("P^3: [x1*x2 : x0*x2 + x3^2 : x0*x1 : x0*x3]", field)

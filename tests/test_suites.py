@@ -146,3 +146,26 @@ def test_raising_trial_is_recorded(monkeypatch):
         "expected": "no error",
         "actual": "PARSE_ERROR: no such input",
     }
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(101), GF(2), GF(3)], ids=str)
+def test_linear_automorphisms_are_drawn_without_a_determinant(field, monkeypatch):
+    # the inversion in linear_auto rejects a singular draw; the draws, and so
+    # the maps, are those of linear_auto(rand_invertible(...)).  Over F_2 and
+    # F_3 many draws are singular
+    import random
+
+    from birat import matrices
+    from birat.affine import linear_auto
+
+    expected = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        expected.append((linear_auto(field, suites.rand_invertible(rng, field, 3)), rng.random()))
+    dets = []
+    real = matrices.det
+    monkeypatch.setattr(matrices, "det", lambda m: dets.append(m) or real(m))
+    for seed in range(12):
+        rng = random.Random(seed)
+        assert (suites.rand_linear_fixing_origin(rng, field, 3), rng.random()) == expected[seed]
+    assert dets == []
