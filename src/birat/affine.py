@@ -2,12 +2,9 @@
 
 Every PolyAuto carries its inverse; nothing is ever assumed invertible.  One
 given by polynomials is checked symbolically (both compositions are the
-identity), one given by a matrix (affine_auto and all built on it) on its
-matrix.  A map given by a matrix keeps it, with its shift and their
-inverses, and two such maps compose by matrix products, with no
-substitution.  Any other composite substitutes, where an affine component
-costs a linear combination (poly._substitute_raw), and builds its inverse
-when first read.
+identity), one given by a matrix (affine_auto) on its matrix.  Every
+composite substitutes, where an affine component costs a linear combination
+(poly._substitute_raw), and builds its inverse when first read.
 Composition follows the same convention as maps of projective space:
 compose(f, g) applies g first.
 """
@@ -46,7 +43,7 @@ from .scalars import FieldKind, Scalar
 class PolyAuto:
     """An automorphism of A^d given by forward and inverse component tuples."""
 
-    __slots__ = ("field", "dim", "forward", "_inverse", "_affine")
+    __slots__ = ("field", "dim", "forward", "_inverse")
 
     def __init__(self, forward, inverse):
         forward = tuple(forward)
@@ -64,7 +61,6 @@ class PolyAuto:
         self.dim = d
         self.forward = forward
         self._inverse = inverse
-        self._affine = None
         self._verify()
 
     def _verify(self):
@@ -78,18 +74,15 @@ class PolyAuto:
                 raise InverseCheckError(f"inverse o forward != id in component {v + 1}")
 
     @classmethod
-    def _trusted(cls, field, dim, forward, inverse, affine=None):
+    def _trusted(cls, field, dim, forward, inverse):
         # the inverse relation holds already: checked on a matrix, or kept
         # exactly by composition and swapping; inverse may be a function
-        # that builds the components when first read.  affine is
-        # (m, b, m^-1, b') for x -> m*x + b and its inverse x -> m^-1*x + b',
-        # given where the components are these forms
+        # that builds the components when first read
         self = object.__new__(cls)
         self.field = field
         self.dim = dim
         self.forward = tuple(forward)
         self._inverse = inverse if callable(inverse) else tuple(inverse)
-        self._affine = affine
         return self
 
     @property
@@ -104,22 +97,11 @@ class PolyAuto:
         return max(c.total_degree for c in self.forward)
 
     def compose(self, other):
-        """self after other; on the matrices where both are given by them."""
+        """self after other."""
         if self.field != other.field:
             raise FieldMismatchError(f"{self.field} vs {other.field}")
         if self.dim != other.dim:
             raise DimMismatchError(f"dimension {self.dim} vs {other.dim}")
-        if self._affine is not None and other._affine is not None:
-            m1, b1, n1, c1 = self._affine
-            m2, b2, n2, c2 = other._affine
-            # x -> m1*(m2*x + b2) + b1, undone by x -> n2*(n1*x + c1) + c2
-            return _affine_map(
-                self.field,
-                matrices.mat_mul(m1, m2),
-                [x + y for x, y in zip(matrices.mat_vec(m1, b2), b1)],
-                matrices.mat_mul(n2, n1),
-                [x + y for x, y in zip(matrices.mat_vec(n2, c1), c2)],
-            )
         fwd = substitute_all(self.forward, other.forward)
 
         def inv():
@@ -128,8 +110,7 @@ class PolyAuto:
         return PolyAuto._trusted(self.field, self.dim, fwd, inv)
 
     def inverted(self):
-        affine = None if self._affine is None else self._affine[2:] + self._affine[:2]
-        return PolyAuto._trusted(self.field, self.dim, self.inverse, self.forward, affine)
+        return PolyAuto._trusted(self.field, self.dim, self.inverse, self.forward)
 
     def apply(self, vals):
         return [c.evaluate(vals) for c in self.forward]
@@ -193,8 +174,7 @@ def affine_auto(field, rows, shift):
 
     Only m is inverted, by one Gauss-Jordan run.  One matrix product checks
     the inverse and its shift together, m*[m^-1 | b'] = [1 | -b], so the
-    symbolic check of the constructor is not needed.  The map keeps the
-    four, and composes with another map built here on them.
+    symbolic check of the constructor is not needed.
     """
     m = matrices.from_rows(field, rows)
     d = len(m)
@@ -210,17 +190,8 @@ def affine_auto(field, rows, shift):
     expected = [row + [-x] for row, x in zip(matrices.identity(field, d), b)]
     if not matrices.mat_eq(product, expected):
         raise InverseCheckError("the matrix inverse does not invert the affine map")
-    return _affine_map(field, m, b, m_inv, b_inv)
-
-
-def _affine_map(field, m, b, m_inv, b_inv):
-    # x -> m*x + b, whose inverse x -> m_inv*x + b_inv is known to be one
     return PolyAuto._trusted(
-        field,
-        len(m),
-        _linear_forms(field, m, b),
-        _linear_forms(field, m_inv, b_inv),
-        (m, b, m_inv, b_inv),
+        field, d, _linear_forms(field, m, b), _linear_forms(field, m_inv, b_inv)
     )
 
 

@@ -27,6 +27,9 @@ _IDENTITY = "id"
 _SIGMA = "sigma"
 _GROUP = (_IDENTITY, _SIGMA)
 
+# the candidates trivialize draws before it gives up
+_TRIES = 64
+
 
 def _group_mul(a, b):
     return _IDENTITY if a == b else _SIGMA
@@ -98,14 +101,15 @@ def coboundary(a):
     return Cocycle.from_matrix(matrices.mat_mul(a, inv))
 
 
-def trivialize(nu, seed=0, max_tries=64):
+def trivialize(nu, seed=0):
     """Find a with a^-1 * nu(sigma) * sigma(a) = identity, exactly.
 
     Tries a = nu(sigma) * sigma(c) + c for deterministic pseudo-random
     Gaussian-integer c of small height until the average is invertible; the
-    trivial cocycle returns the identity so results are reproducible.  The
-    retry budget is max_tries; on a valid cocycle a suitable c exists in
-    abundance, so the budget is a formality.
+    trivial cocycle returns the identity so results are reproducible.  One
+    elimination both inverts a candidate and rejects a singular one.  On a
+    valid cocycle a suitable c exists in abundance, so the budget of
+    _TRIES candidates is a formality.
     """
     if not validate_cocycle(nu):
         raise NotACocycleError("the cocycle condition fails")
@@ -115,7 +119,7 @@ def trivialize(nu, seed=0, max_tries=64):
         return ident
     rng = random.Random(seed)
     candidates = [ident]
-    for _ in range(max_tries):
+    for _ in range(_TRIES):
         c = candidates.pop() if candidates else None
         if c is None:
             c = [
@@ -129,10 +133,12 @@ def trivialize(nu, seed=0, max_tries=64):
         for i in range(nu.dim):
             for j in range(nu.dim):
                 a[i][j] = a[i][j] + c[i][j]
-        if not matrices.det(a):
+        try:
+            a_inv = matrices.inv(a)
+        except SingularMatrixError:
             continue
-        check = matrices.mat_mul(matrices.mat_mul(matrices.inv(a), b), sigma_matrix(a))
+        check = matrices.mat_mul(matrices.mat_mul(a_inv, b), sigma_matrix(a))
         if not matrices.mat_eq(check, ident):
             raise NotACocycleError("averaging produced a non-trivializing matrix")
         return a
-    raise PreconditionError(f"no invertible average found in {max_tries} attempts")
+    raise PreconditionError(f"no invertible average found in {_TRIES} attempts")

@@ -40,6 +40,7 @@ from .linear import ProjPoint
 from .poly import (
     Polynomial,
     RationalFunction,
+    _MAX_COMPOSE_TERMS,
     _decode_terms,
     _gcd_cofactors,
     _heap_key,
@@ -59,13 +60,6 @@ from .poly import (
     poly_str,
     split_group,
 )
-
-# A composition of maps of degrees a and b on P^d is refused where C(a*b + d, d),
-# the number of monomials of degree a*b and so a bound on the terms of each
-# substituted component, passes this.  It bounds size, not time: coefficient
-# growth can make a composition under it slow.
-_MAX_COMPOSE_TERMS = 10**6
-
 
 class CremonaMap:
     """A birational-style self-map of P^d in canonical reduced form."""

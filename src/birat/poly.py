@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 import re
 from operator import lshift, or_, sub
@@ -29,7 +30,14 @@ from .errors import (
     PoleAtPointError,
     PreconditionError,
 )
-from .scalars import FieldKind, Scalar, _square_and_multiply
+from .scalars import FieldKind, Scalar, _LITERAL_CAP, _LITERAL_DIGITS, _square_and_multiply
+
+# A composition of maps of degrees a and b on P^d is refused where C(a*b + d, d),
+# the number of monomials of degree a*b and so a bound on the terms of each
+# substituted component, passes this; so is a parsed power of a polynomial,
+# by the same count.  It bounds size, not time: coefficient growth can make
+# a computation under it slow.
+_MAX_COMPOSE_TERMS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +288,7 @@ class Polynomial:
                 raise FieldMismatchError(f"{field} vs {c.field}")
             if not c:
                 return Polynomial.zero(field, self.nvars)
-            return Polynomial._raw(field, self.nvars, dict(zip(self.terms, field._scale(self.terms.values(), c))))
+            return Polynomial._raw(field, self.nvars, {e: v * c for e, v in self.terms.items()})
         if isinstance(other, Polynomial):
             self._check_compatible(other)
             if not (self.terms and other.terms):
@@ -1342,13 +1350,6 @@ def _tokenize(text):
     return tokens
 
 
-# Python prints no int of more digits (sys.set_int_max_str_digits' default),
-# and the tokenizer reads none: a power or product of literals that reaches
-# _LITERAL_CAP is refused, before a power is computed
-_LITERAL_DIGITS = 4300
-_LITERAL_CAP = 10**_LITERAL_DIGITS
-
-
 class _PolyParser:
     """Recursive descent that folds a sum into one term dict, term by term.
 
@@ -1473,6 +1474,17 @@ class _PolyParser:
             elif isinstance(f, Scalar):
                 f = self.power(f, k)
             else:
+                # f^k has at most C(k*deg + n, n) terms: the monomials of
+                # degree k*deg in nvars variables where f is homogeneous, of
+                # degree at most k*deg otherwise
+                degree = k * f.total_degree
+                n = self.nvars - 1 if f.is_homogeneous else self.nvars
+                terms = math.comb(degree + n, n)
+                if terms > _MAX_COMPOSE_TERMS:
+                    raise LimitExceededError(
+                        f"a power of degree {degree} may have {terms} terms,"
+                        f" over the limit of {_MAX_COMPOSE_TERMS}"
+                    )
                 f = f**k
         return f
 

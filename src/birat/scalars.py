@@ -23,8 +23,16 @@ from .errors import (
     BadModulusError,
     DivisionByZeroError,
     FieldMismatchError,
+    LimitExceededError,
     ParseError,
 )
+
+# Python prints no int of more digits (sys.set_int_max_str_digits' default),
+# so none is printed here, whatever the interpreter allows, and the parser
+# reads none: a power or product of literals that reaches _LITERAL_CAP is
+# refused before a power is computed
+_LITERAL_DIGITS = 4300
+_LITERAL_CAP = 10**_LITERAL_DIGITS
 
 
 class FieldKind(enum.Enum):
@@ -73,7 +81,10 @@ def _q_inv(x):
 
 
 def _q_str(x):
+    # the one place where a rational part becomes text
     a, b = x
+    if not -_LITERAL_CAP < a < _LITERAL_CAP or b >= _LITERAL_CAP:
+        raise LimitExceededError(f"a coefficient to print passes {_LITERAL_DIGITS} digits")
     return str(a) if b == 1 else f"{a}/{b}"
 
 
@@ -256,20 +267,6 @@ class FieldSpec:
         if den == 1:
             return [Scalar(self, (r.re, r.im, 1)) for r in raws]
         return [Scalar(self, _qi(r.re, r.im, den)) for r in raws]
-
-    def _scale(self, scalars, c):
-        """The Scalars s*c for s in scalars; c is a nonzero Scalar.
-
-        What Scalar.__mul__ computes, on the payloads, with no Scalar
-        product per term: none of the products vanishes.
-        """
-        v = c.value
-        if self.kind is FieldKind.PRIME_FIELD:
-            p = self.modulus
-            return [Scalar(self, s.value * v % p) for s in scalars]
-        if self.kind is FieldKind.RATIONAL:
-            return [Scalar(self, _q_mul(s.value, v)) for s in scalars]
-        return [Scalar(self, _qi_mul(s.value, v)) for s in scalars]
 
     def _bit_size(self, s):
         """The bit size of the Scalar s: of its largest numerator or denominator.

@@ -167,6 +167,48 @@ def test_literals_within_the_digit_limit_parse(capsys, argv, printed):
     assert out.strip() == printed
 
 
+@pytest.mark.parametrize("argv", [
+    # 1000^1500 = 10^4500 in the second component
+    ["compose", "P^1: [x0^1500 : x1^1500]", "P^1: [x0 : 1000*x1]"],
+    # 3^1000000 in the first coordinate of the image point
+    ["apply", "P^2: [x0^1000000 : x1^1000000 : x2^1000000]", "[3:1:1]"],
+], ids=["compose", "apply"])
+def test_a_huge_computed_coefficient_is_refused_when_printed(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "LIMIT_EXCEEDED: a coefficient to print passes 4300 digits"
+
+
+@pytest.mark.parametrize("k, scale, printed", [
+    # 10^4299 has 4300 digits, the most that prints, on every Python
+    (4299, "P^1: [x0 : 10*x1]", "P^1: [x0^4299 : 1" + "0" * 4299 + "*x1^4299]"),
+    (4299, "P^1: [10*x0 : x1]", "P^1: [x0^4299 : 1/1" + "0" * 4299 + "*x1^4299]"),
+    # 100^2150 = 10^4300, as a numerator and as a denominator, does not
+    (2150, "P^1: [x0 : 100*x1]", None),
+    (2150, "P^1: [100*x0 : x1]", None),
+])
+def test_the_printed_digit_limit_holds_for_numerators_and_denominators(capsys, k, scale, printed):
+    code, out, err = run(capsys, "compose", f"P^1: [x0^{k} : x1^{k}]", scale)
+    if printed:
+        assert code == 0
+        assert out.strip() == printed
+    else:
+        assert code == 2
+        assert err.strip() == "LIMIT_EXCEEDED: a coefficient to print passes 4300 digits"
+
+
+def test_a_huge_power_of_a_parenthesised_polynomial_is_refused(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degree", "P^2: [(x0+x1)^100000 : x1^100000 : x2^100000]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("LIMIT_EXCEEDED: a power of degree 100000 ")
+
+
 def test_field_option(capsys):
     code, out, _ = run(capsys, "apply", "--field", "Fp:5", SIGMA, "[1:2:3]")
     assert code == 0

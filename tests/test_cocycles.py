@@ -86,6 +86,21 @@ def test_trivialize_round_trip():
             assert coboundary(a).sigma == nu.sigma
 
 
+@pytest.mark.parametrize("dim, expected", [
+    (1, [[(0, -2)]]),
+    (2, [[(0, 6), (0, -2)], [(0, -2), (0, -4)]]),
+    (3, [[0, 0, (0, -2)], [0, (0, 6), (0, -2)], [(0, -2), (0, -4), (0, -4)]]),
+])
+def test_a_singular_first_average_moves_on_to_the_next_candidate(dim, expected):
+    # for nu(sigma) = -1 the first average, -1*sigma(1) + 1, is the zero
+    # matrix; its inversion fails and the next draw is taken
+    minus_one = [[QI.from_int(-int(i == j)) for j in range(dim)] for i in range(dim)]
+    nu = Cocycle.from_matrix(minus_one)
+    a = trivialize(nu)
+    assert a == qi_matrix(expected)
+    assert coboundary(a).sigma == nu.sigma
+
+
 def test_value_table():
     nu = Cocycle.from_matrix(qi_matrix([[(0, 1)]]))
     assert matrices.mat_eq(nu.value("id"), matrices.identity(QI, 1))

@@ -25,6 +25,7 @@ from birat.errors import (
     DegreeMismatchError,
     FieldMismatchError,
     InexactDivisionError,
+    LimitExceededError,
     ParseError,
     PoleAtPointError,
 )
@@ -1058,6 +1059,23 @@ def test_parse_errors_keep_their_codes(text, message):
         parse_poly(text, QQ, 2)
     assert err.value.code == "PARSE_ERROR"
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, k, terms", [
+    # homogeneous: the monomials of degree k in three variables, C(k + 2, 2)
+    ("(x0 + x1)^{k}", 3, 10),
+    ("(x0*x1 - x2^2)^{k}*x0", 1, 6),
+    # not homogeneous: the monomials of degree at most k, C(k + 3, 3)
+    ("(1 + x0)^{k}", 2, 10),
+])
+def test_a_power_of_a_polynomial_is_bounded_by_its_monomials(monkeypatch, text, k, terms):
+    # a bound of 10 terms: the power at k parses, the one at k + 1 does not
+    monkeypatch.setattr(poly, "_MAX_COMPOSE_TERMS", 10)
+    f = parse_poly(text.format(k=k), QQ, 3)
+    assert len(f.terms) <= terms
+    with pytest.raises(LimitExceededError) as err:
+        parse_poly(text.format(k=k + 1), QQ, 3)
+    assert err.value.code == "LIMIT_EXCEEDED"
 
 
 @pytest.mark.parametrize("text", ["x0/5", "x0/10", "3/(5)*x0", "x0/5^2", "x1/2/5"])

@@ -66,8 +66,8 @@ five_fields = st.sampled_from([QQ, QI, GF(101), GF(2), GF(3)])
 @given(five_fields.flatmap(lambda k: st.tuples(st.lists(any_scalar(k), max_size=6), any_scalar(k))))
 def test_raw_scaling_multiplies_by_the_scalar(case):
     # a Polynomial times a Scalar, as maps and rational functions are made
-    # monic, scales the payloads (FieldSpec._scale); it must agree with
-    # Scalar arithmetic
+    # monic, scales each coefficient on its own; it must agree with Scalar
+    # arithmetic term by term and drop no term
     cs, s = case
     f = Polynomial(s.field, 1, {(k,): c for k, c in enumerate(cs)})
     for d in (s, s.inverse()) if s else (s,):
